@@ -4,8 +4,10 @@ test, and element-level oracles for cross-validation."""
 
 from .errors import (
     BadDivisorError,
+    ConfigError,
     DegreeLimitError,
     FszdError,
+    InvariantError,
     MismatchedTablesError,
     NonCommutingPairError,
     NotCoprimeError,

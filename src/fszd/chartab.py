@@ -258,20 +258,15 @@ def _choose_prime(exponent: int, order: int) -> int:
         p += exponent
 
 
-def _class_matrix(cs: ConjugacyClassSet, i: int, p: int) -> list[list[int]]:
-    """M[j][l] = #{x in class i : x^-1 * rep(l) in class j}, reduced mod p."""
+def _class_matrix(cs: ConjugacyClassSet, i: int) -> list[list[int]]:
+    """M[j][l] = #{x in class i : x^-1 * rep(l) in class j}, exact."""
     k = len(cs)
     mat = [[0] * k for _ in range(k)]
-    inverses = [x.inverse() for x in sorted(cs.classes[i].elements)]
-    reps = [cl.rep for cl in cs.classes]
+    inverses = [x.inverse() for x in cs.classes[i].elements]
     pos = cs.position_of
-    for l in range(k):
-        zl = reps[l]
-        col = [0] * k
+    for l, cl in enumerate(cs.classes):
         for xi in inverses:
-            col[pos(xi * zl)] += 1
-        for j in range(k):
-            mat[j][l] = col[j] % p
+            mat[pos(xi * cl.rep)][l] += 1
     return mat
 
 
@@ -339,7 +334,8 @@ def character_table(G: Group, order_limit: int | None = None) -> CharacterTable:
     for ci in range(1, k):
         if all(sp.dim == 1 for sp in spaces):
             break
-        spaces = _split_eigenspaces(spaces, _class_matrix(cs, ci, p), p)
+        mat = [[v % p for v in row] for row in _class_matrix(cs, ci)]
+        spaces = _split_eigenspaces(spaces, mat, p)
     if any(sp.dim != 1 for sp in spaces):
         raise TableComputationError("class matrices did not split the group algebra")
 
@@ -413,11 +409,12 @@ def verify_class_algebra(table: CharacterTable) -> None:
     cs = table.classes
     k = len(cs)
     sizes = [cl.size for cl in cs.classes]
+    mats = [_class_matrix(cs, i) for i in range(k)]
     for cf in table.irreducibles:
         d = cf.degree()
         omega = [cf.values[j] * sizes[j] / d.rational_value() for j in range(k)]
         for i in range(1, k):
-            mat = _exact_class_matrix(cs, i)
+            mat = mats[i]
             for j in range(k):
                 lhs = ZERO
                 for l in range(k):
@@ -427,17 +424,6 @@ def verify_class_algebra(table: CharacterTable) -> None:
                     raise TableComputationError(
                         f"class algebra eigenvector check failed at classes {i},{j}"
                     )
-
-
-def _exact_class_matrix(cs: ConjugacyClassSet, i: int) -> list[list[int]]:
-    k = len(cs)
-    mat = [[0] * k for _ in range(k)]
-    inverses = [x.inverse() for x in cs.classes[i].elements]
-    for l in range(k):
-        zl = cs.classes[l].rep
-        for xi in inverses:
-            mat[cs.position_of(xi * zl)][l] += 1
-    return mat
 
 
 def verify_column_orthogonality(table: CharacterTable) -> None:

@@ -1,7 +1,8 @@
 """Command-line surface: indicators, fsz, gamma, selftest, bench.
 
 Exit status convention: 0 success (or FSZ true), 1 FSZ false, 2 any error
-(usage, parse, resource limits), chosen so census scripts can branch on it.
+(usage, parse, resource limits, bad environment, unwritable output), chosen
+so census scripts can branch on it.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ind.add_argument("--m", default=None, help="comma-separated divisors of exp(G); default all")
     p_ind.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_ind.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p_ind.add_argument("--workers", type=int, default=1, help="parallel centralizer-table jobs")
 
     p_fsz = sub.add_parser("fsz", help="test rationality of all indicators without computing them")
     add_group_arg(p_fsz)
@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time class-level vs naive indicator sweeps")
     add_group_arg(p_bench)
     p_bench.add_argument("--m", default=None, help="comma-separated divisors; default all")
-    p_bench.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -110,7 +109,7 @@ def _cmd_indicators(args) -> int:
     G = construct_group(args.group, max_degree=args.max_degree)
     session = Session(G)
     ms = _parse_ms(args.m, session)
-    report = all_indicators(session, ms, workers=max(1, args.workers))
+    report = all_indicators(session, ms)
     if args.format == "json":
         _emit(report.to_json(), args.out)
     elif args.format == "csv":
@@ -167,6 +166,8 @@ def _cmd_selftest(args) -> int:
               f"{len(report.mismatches)} mismatches [{status}]")
         failures += len(report.mismatches)
     print(f"selftest: {total} values checked, {failures} mismatches")
+    if total == 0:
+        raise FszdError(f"selftest checked no values: no catalog group has order <= {args.max_order}")
     return 0 if failures == 0 else 2
 
 
@@ -174,7 +175,7 @@ def _cmd_bench(args) -> int:
     G = construct_group(args.group, max_degree=args.max_degree)
     session = Session(G)
     ms = _parse_ms(args.m, session)
-    result = benchmark(G, ms, workers=max(1, args.workers))
+    result = benchmark(G, ms)
     print(f"group {result.group}: {result.simples} simples, {result.values} indicator values")
     print(f"naive element-level sweep: {result.naive_seconds:.3f}s")
     print(f"class-level sweep:         {result.class_seconds:.3f}s")
@@ -197,7 +198,7 @@ def dispatch(argv: Sequence[str]) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except FszdError as exc:
+    except Exception as exc:  # exit 1 is reserved for "FSZ false"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

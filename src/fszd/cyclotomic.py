@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._nt import euler_phi, legendre, prime_factors, squarefree_part
-from .errors import NotCoprimeError
+from .errors import InvariantError, NotCoprimeError
 
 Rational = int | Fraction
 
@@ -51,7 +51,8 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 rem[i + j] -= c * dj
-    assert all(r == 0 for r in rem), "non-exact polynomial division"
+    if any(rem):
+        raise InvariantError("cyclotomic polynomial: division is not exact")
     return out
 
 
@@ -151,10 +152,9 @@ def _project(n: int, d: int, vec: list[Fraction]) -> list[Fraction]:
     cols, pivot_rows, inverse = _descent_solver(n, d)
     rhs = [vec[i] for i in pivot_rows]
     q = [sum(inverse[i][j] * rhs[j] for j in range(len(rhs))) for i in range(len(rhs))]
-    if __debug__:
-        phi_n = euler_phi(n)
-        for i in range(phi_n):
-            assert vec[i] == sum(q[j] * cols[j][i] for j in range(len(q))), "bad descent"
+    for i in range(euler_phi(n)):
+        if vec[i] != sum(q[j] * cols[j][i] for j in range(len(q))):
+            raise InvariantError(f"cyclotomic descent: Q(zeta_{n}) to Q(zeta_{d}) is not exact")
     return q
 
 

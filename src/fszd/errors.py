@@ -44,3 +44,11 @@ class TableComputationError(FszdError):
 
 class NonCommutingPairError(FszdError):
     """A double character was evaluated at a non-commuting pair."""
+
+
+class ConfigError(FszdError):
+    """A malformed configuration value, such as the FSZD_MAX_ORDER variable."""
+
+
+class InvariantError(FszdError):
+    """An internal consistency check failed; the message names the stage."""

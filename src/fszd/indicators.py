@@ -10,8 +10,9 @@ is computed entirely on the class level:
   * the class-collapsed group-algebra elements mu, whose characters divided
     by the centralizer order are the indicators nu.
 
-A Session caches everything per group: centralizer groups, their character
-tables, gamma tables keyed by reduced parameters, mates and mu elements.
+A Session caches everything per group: centralizer groups (one Group per
+distinct subgroup, so equal centralizers share one character table), gamma
+tables keyed by reduced parameters, mates and mu elements.
 The FSZ rationality test works from the beta coefficients alone and skips
 parameter combinations that are forced rational.
 """
@@ -21,7 +22,6 @@ import csv
 import io
 import json
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -29,11 +29,12 @@ from typing import Callable, Iterable, Sequence
 from ._nt import divisors
 from .chartab import CharacterTable, ClassFunction, character_table, class_mult_coeff
 from .cyclotomic import Cyclotomic, ZERO, rationality
-from .errors import BadDivisorError, NonCommutingPairError
+from .errors import BadDivisorError, InvariantError, NonCommutingPairError
 from .permcore import (
     ConjugacyClassSet,
     Group,
     Permutation,
+    _commutes,
     centralizer,
     conjugator,
     rational_classes,
@@ -87,21 +88,30 @@ class Session:
         self.divisors = divisors(self.exponent)
         self.order = G.order()
         self._cent_groups: dict[int, Group] = {}
+        self._subgroups: list[Group] = [G]  # distinct centralizers, in build order
         self._gammas: dict[tuple[int, int, str], tuple[int, ...]] = {}
         self._mates: dict[tuple[int, int], Mate] = {}
         self._mus: dict[tuple[int, int], MuElement] = {}
-        self._lock = threading.RLock()
 
     # -- centralizer provisioning -------------------------------------------
 
     def centralizer_group(self, z_class: int) -> Group:
+        """C_G(z), reusing an already-built subgroup H whenever H = C_G(z).
+
+        If z commutes with every generator of H then H <= C_G(z), and equal
+        orders make that an equality (so z lies in H as well).
+        """
         grp = self._cent_groups.get(z_class)
         if grp is None:
-            rep = self.classes.classes[z_class].rep
-            grp = self.group if rep.is_identity() else centralizer(self.group, rep)
-            with self._lock:
-                self._cent_groups.setdefault(z_class, grp)
-                grp = self._cent_groups[z_class]
+            z = self.classes.classes[z_class].rep
+            order = self.centralizer_order(z_class)
+            for grp in self._subgroups:
+                if grp.order() == order and all(_commutes(z, h) for h in grp.generators):
+                    break
+            else:
+                grp = centralizer(self.group, z)
+                self._subgroups.append(grp)
+            self._cent_groups[z_class] = grp
         return grp
 
     def centralizer_classes(self, z_class: int) -> ConjugacyClassSet:
@@ -128,9 +138,7 @@ class Session:
         base = self._gammas.get(key)
         if base is None:
             base = self._gamma_base(z_class, red.m_reduced, backend)
-            with self._lock:
-                self._gammas.setdefault(key, base)
-                base = self._gammas[key]
+            self._gammas[key] = base
         if red.adams_exp == 1:
             return base
         pm = ccs.power_map(red.adams_exp)
@@ -166,7 +174,8 @@ class Session:
                 if not wt.is_zero():
                     tot = tot + wt * chi.values[c]
             val = (tot / order).rational_value()
-            assert val is not None and val.denominator == 1 and val >= 0, "gamma not in N"
+            if val is None or val.denominator != 1 or val < 0:
+                raise InvariantError(f"gamma: value not in N at z-class {z_class}, m={m}, class {c}")
             out.append(int(val))
         return tuple(out)
 
@@ -177,9 +186,7 @@ class Session:
         mt = self._mates.get(key)
         if mt is None:
             mt = self._compute_mate(z_class, h_class_in_cz)
-            with self._lock:
-                self._mates.setdefault(key, mt)
-                mt = self._mates[key]
+            self._mates[key] = mt
         return mt
 
     def _compute_mate(self, z_class: int, h_class_in_cz: int) -> Mate:
@@ -188,16 +195,10 @@ class Session:
         g_class = self.classes.position_of(h)
         g = self.classes.classes[g_class].rep
         t = conjugator(self.group, h, g)
-        if t is None:
-            raise RuntimeError("conjugator search failed for same-class elements")
         z = self.classes.classes[z_class].rep
-        z_mate = t.conj(z)
-        mate_class = self.centralizer_classes(g_class).position_of(z_mate)
-        if __debug__:
-            assert t.conj(h) == g
-            gi = g.img
-            zi = z_mate.img
-            assert all(gi[zi[i]] == zi[gi[i]] for i in range(len(gi)))
+        if t is None or t.conj(h) != g or not _commutes(g, t.conj(z)):
+            raise InvariantError(f"mate: bad conjugator at z-class {z_class}, h-class {h_class_in_cz}")
+        mate_class = self.centralizer_classes(g_class).position_of(t.conj(z))
         return Mate(z_class, h_class_in_cz, g_class, t, mate_class)
 
     def mu(self, g_class: int, m: int) -> MuElement:
@@ -222,22 +223,17 @@ class Session:
                     continue
                 mt = self.mate(z_class, h_class)
                 cg_order = self.centralizer_order(mt.g_class)
+                # |z^{C_G(h)}|, which must equal the size of the mate's class in C_G(g)
                 weight, rem = divmod(cg_order * ccs_z.classes[h_class].size, cz_order)
-                assert rem == 0, "orbit size |z^{C_G(h)}| must be integral"
-                if __debug__:
-                    # |z^{C_G(h)}| equals the size of the mate's class in C_G(g)
-                    mate_size = self.centralizer_classes(mt.g_class).classes[mt.mate_class].size
-                    assert weight == mate_size, "mate transport size mismatch"
+                mate_size = self.centralizer_classes(mt.g_class).classes[mt.mate_class].size
+                if rem or weight != mate_size:
+                    raise InvariantError(f"mu: mate size mismatch at z-class {z_class}, h-class {h_class}")
                 bucket = accum[mt.g_class]
                 bucket[mt.mate_class] = bucket.get(mt.mate_class, 0) + weight * gval
-        with self._lock:
-            for g_class, bucket in accum.items():
-                self._mus.setdefault(
-                    (g_class, m),
-                    MuElement(
-                        g_class, m, {c: Fraction(v) for c, v in sorted(bucket.items())}
-                    ),
-                )
+        for g_class, bucket in accum.items():
+            self._mus[(g_class, m)] = MuElement(
+                g_class, m, {c: Fraction(v) for c, v in sorted(bucket.items())}
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +359,7 @@ def double_character(
     G = session.group
 
     def evaluate(x: Permutation, y: Permutation) -> Cyclotomic:
-        xi, yi = x.img, y.img
-        if any(xi[yi[i]] != yi[xi[i]] for i in range(len(xi))):
+        if not _commutes(x, y):
             raise NonCommutingPairError("double character needs a commuting pair")
         if session.classes.position_of(x) != g_class:
             return ZERO
@@ -525,9 +520,7 @@ class IndicatorReport:
         raise KeyError((g_class, eta_index))
 
 
-def all_indicators(
-    session: Session, ms: Iterable[int] | None = None, workers: int = 1
-) -> IndicatorReport:
+def all_indicators(session: Session, ms: Iterable[int] | None = None) -> IndicatorReport:
     """Indicators for every simple of D(G) and every requested divisor m."""
     if ms is None:
         m_list = list(session.divisors)
@@ -536,8 +529,6 @@ def all_indicators(
         for m in m_list:
             if m < 1 or session.exponent % m != 0:
                 raise BadDivisorError(f"m={m} does not divide exp(G)={session.exponent}")
-    if workers > 1:
-        _provision_tables(session, workers)
     simples = []
     for g_class in range(len(session.classes)):
         table = session.centralizer_table(g_class)
@@ -555,9 +546,3 @@ def all_indicators(
             )
     return IndicatorReport(session, m_list, simples)
 
-
-def _provision_tables(session: Session, workers: int) -> None:
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(session.centralizer_table, range(len(session.classes))))

@@ -6,7 +6,6 @@ against and benchmarked over.
 """
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,18 +14,13 @@ from typing import Callable, Sequence
 from .chartab import ClassFunction
 from .cyclotomic import Cyclotomic, ZERO
 from .errors import ResourceLimitError
-from .permcore import Group, Permutation, _commutes
+from .permcore import Group, Permutation, _commutes, env_max_order
 
 DEFAULT_MAX_ORDER = 5040
 
 
 def _max_order(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("FSZD_MAX_ORDER")
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_ORDER
+    return override if override is not None else env_max_order(DEFAULT_MAX_ORDER)
 
 
 def _guard(G: Group, max_order: int | None) -> tuple[Permutation, ...]:
@@ -228,7 +222,7 @@ class BenchResult:
         return self.naive_seconds / self.class_seconds
 
 
-def benchmark(G: Group, ms: Sequence[int] | None = None, workers: int = 1) -> BenchResult:
+def benchmark(G: Group, ms: Sequence[int] | None = None) -> BenchResult:
     """Time a full indicator sweep: class-level formulas vs naive enumeration.
 
     The naive path receives the element list and the centralizer tables for
@@ -257,7 +251,7 @@ def benchmark(G: Group, ms: Sequence[int] | None = None, workers: int = 1) -> Be
 
     cold = Group(G.degree, G.generators, name=G.name, enum_limit=G._enum_limit)
     start = time.perf_counter()
-    all_indicators(Session(cold), m_list, workers=workers)
+    all_indicators(Session(cold), m_list)
     class_seconds = time.perf_counter() - start
 
     name = G.name or f"degree-{G.degree} group"

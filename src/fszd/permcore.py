@@ -5,9 +5,11 @@ Composition is right-to-left: ``(a * b)(i) = a(b(i))``, and conjugation is
 ``t.conj(x) = t * x * t^-1``.
 
 Order and membership go through a deterministic Schreier-Sims stabilizer
-chain, so they never require full enumeration.  Conjugacy classes,
-centralizers and the other desk-scale operations enumerate elements up to a
-configurable bound (``FSZD_MAX_ORDER`` overrides it).
+chain, so they never require full enumeration.  Conjugacy classes enumerate
+elements up to a configurable bound (``FSZD_MAX_ORDER`` overrides it) and
+store each class as a Schreier vector of the conjugation action.
+Centralizers, conjugators and restricted normalizers are read off such an
+orbit (transversal elements and Schreier generators) and never enumerate G.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadDivisorError,
+    ConfigError,
     DegreeLimitError,
     NotInGroupError,
     ResourceLimitError,
@@ -29,13 +32,22 @@ DEFAULT_MAX_DEGREE = 64
 DEFAULT_ENUM_LIMIT = 10_000_000
 
 
-def _enum_limit(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def env_max_order(default: int) -> int:
+    """The FSZD_MAX_ORDER override if set (a positive integer), else default."""
     env = os.environ.get("FSZD_MAX_ORDER")
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUM_LIMIT
+    if env is None:
+        return default
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"FSZD_MAX_ORDER must be a positive integer, got {env!r}")
+    return value
+
+
+def _enum_limit(override: int | None = None) -> int:
+    return override if override is not None else env_max_order(DEFAULT_ENUM_LIMIT)
 
 
 class Permutation:
@@ -358,9 +370,12 @@ class Group:
 
 
 class ConjugacyClass:
+    """A conjugacy class; ``elements`` is its Schreier vector rooted at rep
+    (see ``_conjugation_orbit``), so its keys are the class elements."""
+
     __slots__ = ("rep", "size", "order", "elements")
 
-    def __init__(self, rep: Permutation, order: int, elements: frozenset):
+    def __init__(self, rep: Permutation, order: int, elements: dict[Permutation, int]):
         self.rep = rep
         self.size = len(elements)
         self.order = order
@@ -369,7 +384,7 @@ class ConjugacyClass:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConjugacyClass):
             return NotImplemented
-        return self.rep == other.rep and self.elements == other.elements
+        return self.rep == other.rep and self.elements.keys() == other.elements.keys()
 
     def __hash__(self) -> int:
         return hash(self.rep)
@@ -422,26 +437,45 @@ class ConjugacyClassSet:
         return self.power_map(-1)
 
 
+def _conjugation_orbit(G: Group, x: Permutation) -> dict[Permutation, int]:
+    """The class of x as a Schreier vector: each conjugate maps to the index
+    of the generator that first reached it (breadth first), x itself to -1."""
+    gens = G.generators
+    orbit = {x: -1}
+    todo = [x]
+    for y in todo:
+        for i, g in enumerate(gens):
+            z = g.conj(y)
+            if z not in orbit:
+                orbit[z] = i
+                todo.append(z)
+    return orbit
+
+
+def _transversal(G: Group, orbit: dict[Permutation, int], y: Permutation) -> Permutation:
+    """The t in G with t.conj(root) == y, read off the Schreier vector."""
+    gens = G.generators
+    inverses = [g.inverse() for g in gens]
+    t = G.identity
+    i = orbit[y]
+    while i >= 0:
+        t = t * gens[i]
+        y = inverses[i].conj(y)
+        i = orbit[y]
+    return t
+
+
 def _compute_classes(G: Group) -> ConjugacyClassSet:
-    elems = G.elements()
     seen: set[Permutation] = set()
-    raw: list[tuple[Permutation, set[Permutation]]] = []
-    for x in elems:  # lex order, so x is the lex-min of its (unseen) class
+    raw: list[tuple[Permutation, dict[Permutation, int]]] = []
+    for x in G.elements():  # lex order, so x is the lex-min of its (unseen) class
         if x in seen:
             continue
-        orbit = {x}
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for g in G.generators:
-                z = g.conj(y)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        seen |= orbit
+        orbit = _conjugation_orbit(G, x)
+        seen.update(orbit)
         raw.append((x, orbit))
     raw.sort(key=lambda item: (item[0].order(), len(item[1]), item[0].img))
-    classes = [ConjugacyClass(rep, rep.order(), frozenset(orbit)) for rep, orbit in raw]
+    classes = [ConjugacyClass(rep, rep.order(), orbit) for rep, orbit in raw]
     return ConjugacyClassSet(G, classes)
 
 
@@ -458,50 +492,39 @@ def _commutes(a: Permutation, b: Permutation) -> bool:
     return all(ai[bi[i]] == bi[ai[i]] for i in range(len(ai)))
 
 
-def _reduced_generators(elements: Iterable[Permutation], degree: int) -> list[Permutation]:
-    """Greedy small generating set for the subgroup formed by `elements`."""
-    gens: list[Permutation] = []
-    chain: StabilizerChain | None = None
-    for t in elements:
-        if t.is_identity():
-            continue
-        if chain is not None and chain.contains(t):
-            continue
-        gens.append(t)
-        chain = StabilizerChain(gens, degree)
-    return gens
-
-
 def centralizer(G: Group, z: Permutation) -> Group:
-    """The subgroup of G commuting with z."""
+    """The subgroup of G commuting with z: the stabilizer of z under
+    conjugation, generated by the Schreier generators of z's orbit."""
     if z not in G:
         raise NotInGroupError("centralizer: element is not in the group")
-    members = [t for t in G.elements() if _commutes(t, z)]
-    gens = _reduced_generators(members, G.degree)
+    orbit = _conjugation_orbit(G, z)
+    target = G.order() // len(orbit)
+    schreier = (
+        _transversal(G, orbit, g.conj(y)).inverse() * g * _transversal(G, orbit, y)
+        for y in orbit
+        for g in G.generators
+    )
+    gens: list[Permutation] = []
+    chain = StabilizerChain(gens, G.degree)
+    while chain.order() < target:
+        s = next(schreier)
+        if not chain.contains(s):
+            gens.append(s)
+            chain = StabilizerChain(gens, G.degree)
     name = f"C_{G.name or 'G'}({z.cycle_string()})"
-    return Group(G.degree, gens, name=name, enum_limit=G._enum_limit)
+    C = Group(G.degree, gens, name=name, enum_limit=G._enum_limit)
+    C._chain = chain
+    return C
 
 
 def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation]:
     """Some t in G with t*a*t^-1 == b, or None if a, b are not conjugate."""
-    if a not in G or b not in G:
-        raise NotInGroupError("conjugator: element is not in the group")
-    if a == b:
-        return G.identity
-    orbit = {a: G.identity}
-    queue = deque([a])
-    while queue:
-        y = queue.popleft()
-        ty = orbit[y]
-        for g in G.generators:
-            z = g.conj(y)
-            if z not in orbit:
-                t = g * ty
-                if z == b:
-                    return t
-                orbit[z] = t
-                queue.append(z)
-    return None
+    cs = G.conjugacy_classes()
+    i = cs.position_of(a)
+    if cs.position_of(b) != i:
+        return None
+    orbit = cs.classes[i].elements
+    return _transversal(G, orbit, b) * _transversal(G, orbit, a).inverse()
 
 
 def rational_classes(G: Group) -> tuple[tuple[int, ...], ...]:
@@ -533,26 +556,24 @@ def rational_classes(G: Group) -> tuple[tuple[int, ...], ...]:
 
 
 def restricted_normalizer(G: Group, g: Permutation, d: int) -> Group:
-    """N_G^d(g): elements t with t*g*t^-1 = g^r, (r, exp(G)) = 1, r = 1 mod d."""
+    """N_G^d(g): elements t with t*g*t^-1 = g^r, (r, exp(G)) = 1, r = 1 mod d.
+
+    It is C_G(g) together with one element t conjugating g to each
+    admissible power g^r in the class of g.
+    """
     if g not in G:
         raise NotInGroupError("restricted_normalizer: element is not in the group")
     exp = G.exponent()
     if d < 1 or exp % d != 0:
         raise BadDivisorError(f"d={d} does not divide exp(G)={exp}")
     o = g.order()
-    powers = {g**r: r for r in range(o)}
-    members = []
-    for t in G.elements():
-        r = powers.get(t.conj(g))
-        if r is None:
-            continue
-        # lift r modulo o to a unit mod exp(G) that is 1 mod d, if possible
-        for k in range(exp // o):
-            rp = r + k * o
-            if math.gcd(rp, exp) == 1 and rp % d == 1 % d:
-                members.append(t)
-                break
-    gens = _reduced_generators(members, G.degree)
+    gens = list(centralizer(G, g).generators)
+    for r in range(o):
+        # g^r is admissible when r lifts modulo o to a unit mod exp(G) that is 1 mod d
+        if any(math.gcd(r + k * o, exp) == 1 and (r + k * o) % d == 1 % d for k in range(exp // o)):
+            t = conjugator(G, g, g**r)
+            if t is not None:
+                gens.append(t)
     name = f"N^{d}_{G.name or 'G'}({g.cycle_string()})"
     return Group(G.degree, gens, name=name, enum_limit=G._enum_limit)
 

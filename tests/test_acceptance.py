@@ -146,7 +146,7 @@ def test_criterion_4_symmetric_groups_nonnegative():
 
 def test_criterion_5_benchmark_ratio():
     """Class-level sweep of D(S_6) at least 10x faster than the naive oracle."""
-    result = benchmark(get_group("S6"), workers=1)
+    result = benchmark(get_group("S6"))
     assert result.ratio >= 10, f"ratio {result.ratio:.1f} below 10x"
     report(
         f"criterion 5: D(S_6) class-level {result.class_seconds:.2f}s vs naive "

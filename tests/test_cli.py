@@ -93,6 +93,26 @@ def test_resource_limit_exit_2(capsys, monkeypatch):
     assert code == 2 and "limit" in err
 
 
+def test_bad_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("FSZD_MAX_ORDER", "abc")
+    code, _, err = run(capsys, "indicators", "--group", "S3")
+    assert code == 2 and "FSZD_MAX_ORDER" in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, _, err = run(capsys, "indicators", "--group", "S3", "--format", "json", "--out", str(target))
+    assert code == 2 and str(target) in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_selftest_checking_nothing_exits_2(capsys):
+    code, _, err = run(capsys, "selftest", "--max-order", "0")
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--max-order", "100")
     assert code == 0
@@ -120,15 +140,6 @@ def test_byte_identical_reruns(capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert run(capsys, "fsz", "--group", "D6")[1] == run(capsys, "fsz", "--group", "D6")[1]
-
-
-def test_workers_flag(capsys):
-    base = run(capsys, "indicators", "--group", "S4", "--format", "json")[1]
-    threaded = run(capsys, "indicators", "--group", "S4", "--format", "json", "--workers", "3")[1]
-    assert base == threaded
-    serial = run(capsys, "indicators", "--group", "S5", "--format", "json")[1]
-    parallel = run(capsys, "indicators", "--group", "S5", "--format", "json", "--workers", "4")[1]
-    assert serial == parallel
 
 
 def test_max_degree_flag(capsys):

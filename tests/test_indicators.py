@@ -7,6 +7,7 @@ import pytest
 from fszd import (
     BadDivisorError,
     Cyclotomic,
+    InvariantError,
     NonCommutingPairError,
     Permutation,
     Session,
@@ -29,6 +30,8 @@ from fszd import (
     w_class_function,
 )
 
+import fszd.chartab
+import fszd.indicators
 from conftest import (
     ACCEPTANCE_SPECS,
     SL23_SPEC,
@@ -332,6 +335,33 @@ def test_mate_invariants_sweep():
 
 
 # -- mu and nu ----------------------------------------------------------------------
+
+
+def test_wrong_conjugator_raises_typed_error(monkeypatch):
+    three_cycle = Permutation.from_cycles(3, [(1, 2, 3)])
+    monkeypatch.setattr(fszd.indicators, "conjugator", lambda G, a, b: three_cycle)
+    session = Session(construct_group("S3"))
+    with pytest.raises(InvariantError, match="mate"):
+        mu(session, 1, 2)
+
+
+def test_centralizer_groups_are_shared(monkeypatch):
+    session = Session(construct_group("C4xC4"))
+    assert all(session.centralizer_group(z) is session.group for z in range(len(session.classes)))
+    built = []
+    quick_check = fszd.chartab._quick_check
+    monkeypatch.setattr(
+        fszd.chartab, "_quick_check", lambda table: (built.append(table.group), quick_check(table))
+    )
+    for spec in ("Q8xC3", "D4xC3"):
+        session = Session(construct_group(spec))
+        built.clear()
+        groups = [session.centralizer_group(z) for z in range(len(session.classes))]
+        distinct = {id(H): H for H in groups}
+        assert len(distinct) == 4
+        for z in range(len(session.classes)):
+            session.centralizer_table(z)
+        assert sorted(map(id, built)) == sorted(distinct)
 
 
 def test_mu_reproduces_classical_fs_indicator():
@@ -658,12 +688,10 @@ def test_report_json_and_csv_shape():
     assert len(lines) == 1 + 8 * 4  # header + simples x divisors
 
 
-def test_report_determinism_and_workers():
+def test_report_determinism():
     a = all_indicators(Session(construct_group("S4")))
     b = all_indicators(Session(construct_group("S4")))
     assert a.to_json() == b.to_json()
-    c = all_indicators(Session(construct_group("S4")), workers=3)
-    assert c.to_json() == a.to_json()
 
 
 def test_report_m_validation():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fszd import (
     DegreeLimitError,
+    Group,
     NotInGroupError,
     BadDivisorError,
     Permutation,
@@ -206,7 +207,7 @@ def test_classes_match_bruteforce_grouping():
         expected = set()
         for x in elements:
             expected.add(frozenset(t.conj(x) for t in elements))
-        got = {c.elements for c in G.conjugacy_classes()}
+        got = {frozenset(c.elements) for c in G.conjugacy_classes()}
         assert got == expected
 
 
@@ -319,3 +320,52 @@ def test_group_exponent():
     assert group_exponent(get_group("C12")) == 12
     assert group_exponent(get_group("S4")) == 12
     assert group_exponent(get_group("A5")) == 30
+
+
+# -- orbit-based subgroups against their element-filter definitions -------------
+
+
+def _centralizer_by_filter(G, z):
+    return frozenset(t for t in G.elements() if t * z == z * t)
+
+
+def _restricted_normalizer_by_filter(G, g, d):
+    exp = group_exponent(G)
+    o = g.order()
+    powers = {g**r: r for r in range(o)}
+    out = set()
+    for t in G.elements():
+        r = powers.get(t.conj(g))
+        if r is not None and any(
+            math.gcd(r + k * o, exp) == 1 and (r + k * o) % d == 1 % d for k in range(exp // o)
+        ):
+            out.add(t)
+    return frozenset(out)
+
+
+def _check_against_filters(G):
+    exp = group_exponent(G)
+    for cl in G.conjugacy_classes():
+        g = cl.rep
+        assert frozenset(centralizer(G, g).elements()) == _centralizer_by_filter(G, g)
+        for d in (d for d in range(1, exp + 1) if exp % d == 0):
+            got = frozenset(restricted_normalizer(G, g, d).elements())
+            assert got == _restricted_normalizer_by_filter(G, g, d), (g, d)
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
+def test_orbit_subgroups_match_filters(spec):
+    _check_against_filters(get_group(spec))
+
+
+@st.composite
+def two_generator_groups(draw):
+    n = draw(st.integers(1, 6))
+    gens = [Permutation(draw(st.permutations(range(n)))) for _ in range(2)]
+    return Group(n, gens)
+
+
+@given(two_generator_groups())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_orbit_subgroups_match_filters_random(G):
+    _check_against_filters(G)
