@@ -5,9 +5,20 @@ polynomial, with Fraction coefficients, always reduced to its minimal
 conductor (never 2 mod 4).  Equality and hashing are therefore structural,
 and a value is rational exactly when its residue is constant.
 
+The minimal conductor is reached one prime at a time.  For p | N and
+d = N/p, the mean over Gal(Q(zeta_N)/Q(zeta_d)) has a closed form.  When
+p^2 | N it keeps the terms zeta_N^k with p | k, so it is the coefficient
+vector vec[::p] at conductor d.  When p || N, write
+zeta_N^k = zeta_d^(uk) zeta_p^(vk) with up + vd = 1; the term c_k zeta_N^k
+goes to zeta_d^(uk) with weight c_k if p | k and -c_k/(p-1) otherwise.  The
+value lies in Q(zeta_d) exactly when this mean, lifted back to conductor N,
+reproduces its coefficients, so the descent is checked exactly.  Lifting,
+Galois maps, products and the descent all add rows of one power table.
+
 Galois maps sigma_r act by zeta_N -> zeta_N^r; complex conjugation is
 sigma_{-1}.  The printer recognizes rationals and real quadratic
-irrationalities (via exact Gauss sums), and falls back to an explicit
+irrationalities (one Galois conjugate splits off the square root, whose
+sign an exact Gauss sum fixes), and falls back to an explicit
 zeta-polynomial otherwise.
 """
 from __future__ import annotations
@@ -77,107 +88,58 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
 # canonicalization: reduce a residue vector to its minimal conductor
 
 
-def _galois_vec(n: int, vec: list[Fraction], r: int) -> list[Fraction]:
+def _accumulate(n: int, terms, out: list[Fraction] | None = None) -> list[Fraction]:
+    """Add c * zeta_n^k for each (k, c) in terms to the conductor-n residue
+    vector out (a zero vector when omitted), one power-table row per term."""
     table = _power_table(n)
-    phi = euler_phi(n)
-    out = [Fraction(0)] * phi
-    for j, c in enumerate(vec):
+    if out is None:
+        out = [Fraction(0)] * euler_phi(n)
+    for k, c in terms:
         if c:
-            row = table[(j * r) % n]
-            for i, e in enumerate(row):
+            for i, e in enumerate(table[k % n]):
                 if e:
                     out[i] += c * e
     return out
 
 
-def _fixed_under_kernel(n: int, d: int, vec: list[Fraction]) -> bool:
-    """Is the value fixed by every sigma_r with r = 1 mod d, gcd(r, n) = 1?"""
-    for r in range(1 + d, n, d):
-        if math.gcd(r, n) != 1:
-            continue
-        if _galois_vec(n, vec, r) != vec:
-            return False
-    return True
+def _substitute(n: int, vec, s: int) -> list[Fraction]:
+    """sum of vec[j] * zeta_n^(j*s) at conductor n: a Galois map when s is a
+    unit mod n, a lift from conductor n/s when s divides n."""
+    return _accumulate(n, ((j * s, c) for j, c in enumerate(vec)))
 
 
-@lru_cache(maxsize=None)
-def _descent_solver(n: int, d: int):
-    """Data to rewrite a conductor-n residue known to lie in Q(zeta_d).
+def _descend(n: int, p: int, vec: list[Fraction]) -> list[Fraction] | None:
+    """The value at conductor d = n/p when it lies in Q(zeta_d), else None.
 
-    Returns (columns, pivot_rows, inverse) where columns[j] is the image of
-    zeta_d^j in the conductor-n basis and inverse is the exact inverse of the
-    square submatrix at pivot_rows.
+    The mean over Gal(Q(zeta_n)/Q(zeta_d)) is the identity on Q(zeta_d), so
+    the value descends exactly when the mean, lifted back to conductor n,
+    reproduces vec.
     """
-    phi_n, phi_d = euler_phi(n), euler_phi(d)
-    table = _power_table(n)
-    step = n // d
-    cols = [table[(j * step) % n] for j in range(phi_d)]
-    mat = [[Fraction(cols[j][i]) for j in range(phi_d)] for i in range(phi_n)]
-    # find phi_d rows forming an invertible square submatrix (column by column)
-    work = [row[:] for row in mat]
-    pivot_rows: list[int] = []
-    used: set[int] = set()
-    for col in range(phi_d):
-        row = next(i for i in range(phi_n) if i not in used and work[i][col] != 0)
-        used.add(row)
-        pivot_rows.append(row)
-        piv = work[row][col]
-        work[row] = [x / piv for x in work[row]]
-        for r in range(phi_n):
-            if r != row and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[row])]
-    pivot_rows.sort()
-    square = [[mat[i][j] for j in range(phi_d)] for i in pivot_rows]
-    inverse = _invert_fraction_matrix(square)
-    return cols, tuple(pivot_rows), inverse
-
-
-def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
-def _project(n: int, d: int, vec: list[Fraction]) -> list[Fraction]:
-    cols, pivot_rows, inverse = _descent_solver(n, d)
-    rhs = [vec[i] for i in pivot_rows]
-    q = [sum(inverse[i][j] * rhs[j] for j in range(len(rhs))) for i in range(len(rhs))]
-    for i in range(euler_phi(n)):
-        if vec[i] != sum(q[j] * cols[j][i] for j in range(len(q))):
-            raise InvariantError(f"cyclotomic descent: Q(zeta_{n}) to Q(zeta_{d}) is not exact")
-    return q
+    d = n // p
+    if d % p == 0:
+        # the group is sigma_{1+jd} for j < p, sending zeta_n^k to
+        # zeta_n^k zeta_p^(jk); so the mean keeps the terms with p | k, which
+        # is vec[::p], and its lift is vec exactly when no other term is left
+        return None if any(c for k, c in enumerate(vec) if k % p) else vec[::p]
+    # p || n: zeta_n^k = zeta_d^(uk) zeta_p^(vk) with up + vd = 1, and the mean
+    # of zeta_p^(vk) over Gal(Q(zeta_p)/Q) is 1 if p | k and -1/(p-1) otherwise
+    u = pow(p, -1, d)
+    w = Fraction(-1, p - 1)
+    mean = _accumulate(d, ((u * k, c if k % p == 0 else c * w) for k, c in enumerate(vec)))
+    return mean if _substitute(n, mean, p) == vec else None
 
 
 def _canonical(n: int, vec: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    if n == 1:
-        return 1, (vec[0],)
-    if all(c == 0 for c in vec[1:]):
-        return 1, (vec[0],)
-    descending = True
-    while descending and n > 1:
-        descending = False
+    while any(vec[1:]):
         for p in prime_factors(n):
-            d = n // p
-            if d == 1:
-                continue  # would mean rational; excluded above
-            if _fixed_under_kernel(n, d, vec):
-                vec = _project(n, d, vec)
-                n = d
-                if all(c == 0 for c in vec[1:]):
-                    return 1, (vec[0],)
-                descending = True
+            # d = 1 would mean rational, which the loop condition excludes
+            down = _descend(n, p, vec) if p < n else None
+            if down is not None:
+                n, vec = n // p, down
                 break
-    return n, tuple(vec)
+        else:
+            return n, tuple(vec)
+    return 1, (vec[0],)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +208,7 @@ class Cyclotomic:
     def _lift(self, L: int) -> list[Fraction]:
         if self.conductor == L:
             return list(self.coeffs)
-        table = _power_table(L)
-        step = L // self.conductor
-        out = [Fraction(0)] * euler_phi(L)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(j * step) % L]
-                for i, e in enumerate(row):
-                    if e:
-                        out[i] += c * e
-        return out
+        return _substitute(L, self.coeffs, L // self.conductor)
 
     def __add__(self, other) -> "Cyclotomic":
         o = self._coerce(other)
@@ -313,15 +266,7 @@ class Cyclotomic:
                 for j, b in enumerate(vb):
                     if b:
                         conv[i + j] += a * b
-        out = conv[:phi]
-        table = _power_table(L)
-        for j in range(phi, 2 * phi - 1):
-            c = conv[j]
-            if c:
-                row = table[j % L]
-                for i, e in enumerate(row):
-                    if e:
-                        out[i] += c * e
+        out = _accumulate(L, enumerate(conv[phi:], phi), conv[:phi])
         n, tup = _canonical(L, out)
         return Cyclotomic._trusted(n, tup)
 
@@ -360,7 +305,7 @@ class Cyclotomic:
             raise NotCoprimeError(f"sigma_{r} undefined at conductor {n}")
         if r == 1:
             return self
-        out = _galois_vec(n, list(self.coeffs), r)
+        out = _substitute(n, self.coeffs, r)
         return Cyclotomic._trusted(n, tuple(out))
 
     def conjugate(self) -> "Cyclotomic":
@@ -423,15 +368,7 @@ def from_root(k: int, n: int) -> Cyclotomic:
 
 def from_root_combination(n: int, coeff_by_exponent: dict[int, Rational]) -> Cyclotomic:
     """sum of c_k * zeta_n^k for the given exponent -> coefficient mapping."""
-    table = _power_table(n)
-    vec = [Fraction(0)] * euler_phi(n)
-    for k, c in coeff_by_exponent.items():
-        if c:
-            row = table[k % n]
-            for i, e in enumerate(row):
-                if e:
-                    vec[i] += Fraction(c) * e
-    return Cyclotomic(n, vec)
+    return Cyclotomic(n, _accumulate(n, coeff_by_exponent.items()))
 
 
 def galois(v: Cyclotomic, r: int) -> Cyclotomic:
@@ -467,51 +404,28 @@ def _format_rational(q: Fraction) -> str:
 
 
 def _try_quadratic(v: Cyclotomic):
-    """Return (a, b, d) with v = a + b*sqrt(d) (b != 0, d squarefree), or None."""
+    """Return (a, b, d) with v = a + b*sqrt(d) (b != 0, d squarefree), or None.
+
+    With sigma_r the first Galois map that moves v, v is a real quadratic
+    irrationality exactly when a = (v + sigma_r v)/2 is rational and
+    w = (v - sigma_r v)/2 has a positive rational square; then w = b*sqrt(d).
+    """
     n = v.conductor
-    if n == 1 or not v.is_real():
+    if n == 1:
         return None
-    units = [r for r in range(1, n) if math.gcd(r, n) == 1]
-    stab = [r for r in units if v.galois(r) == v]
-    if 2 * len(stab) != len(units):
-        return None
-    # minimal polynomial: v*v = A + B*v with A, B rational
-    w = v * v
-    phi = euler_phi(n)
-    one_vec = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-    v_vec = v._lift(n)
-    w_vec = w._lift(n)
-    # solve [one_vec v_vec] [A B]^T = w_vec via two independent rows
-    a = b = None
-    for i in range(phi):
-        for j in range(phi):
-            det = one_vec[i] * v_vec[j] - one_vec[j] * v_vec[i]
-            if det:
-                A = (w_vec[i] * v_vec[j] - w_vec[j] * v_vec[i]) / det
-                B = (one_vec[i] * w_vec[j] - one_vec[j] * w_vec[i]) / det
-                a, b = A, B
-                break
-        if a is not None:
-            break
+    units = (r for r in range(2, n) if math.gcd(r, n) == 1)
+    moved = next(image for image in map(v.galois, units) if image != v)
+    a = ((v + moved) / 2).rational_value()
     if a is None:
         return None
-    A, B = a, b
-    rad = A + B * B / 4  # (v - B/2)^2
-    if rad <= 0:
+    w = (v - moved) / 2
+    rad = (w * w).rational_value()
+    if rad is None or rad <= 0:
         return None
     m = rad.numerator * rad.denominator
     d = squarefree_part(m)
-    s = math.isqrt(m // d)
-    if s * s != m // d:
-        return None
-    babs = Fraction(s, rad.denominator)
-    half = B / 2
-    root = sqrt_cyclotomic(d)
-    if v == Cyclotomic.rational(half) + root * babs:
-        return half, babs, d
-    if v == Cyclotomic.rational(half) - root * babs:
-        return half, -babs, d
-    return None
+    b = Fraction(math.isqrt(m // d), rad.denominator)
+    return a, (b if w == sqrt_cyclotomic(d) * b else -b), d
 
 
 def _format_quadratic(a: Fraction, b: Fraction, d: int) -> str:

@@ -89,6 +89,7 @@ class Session:
         self.order = G.order()
         self._cent_groups: dict[int, Group] = {}
         self._subgroups: list[Group] = [G]  # distinct centralizers, in build order
+        self._roots: dict[tuple[int, int], tuple[int, ...]] = {}
         self._gammas: dict[tuple[int, int, str], tuple[int, ...]] = {}
         self._mates: dict[tuple[int, int], Mate] = {}
         self._mus: dict[tuple[int, int], MuElement] = {}
@@ -123,6 +124,17 @@ class Session:
     def centralizer_order(self, z_class: int) -> int:
         return self.order // self.classes.classes[z_class].size
 
+    def root_classes(self, z_class: int, m: int) -> tuple[int, ...]:
+        """Indices of the classes of C_G(z) made of m-th roots of z."""
+        key = (z_class, m)
+        roots = self._roots.get(key)
+        if roots is None:
+            z = self.classes.classes[z_class].rep
+            ccs = self.centralizer_classes(z_class)
+            roots = tuple(a for a, cl in enumerate(ccs.classes) if cl.rep**m == z)
+            self._roots[key] = roots
+        return roots
+
     # -- gamma tables ---------------------------------------------------------
 
     def gamma_vector(self, z_class: int, m: int, backend: str = "characters") -> tuple[int, ...]:
@@ -145,10 +157,9 @@ class Session:
         return tuple(base[j] for j in pm)
 
     def _gamma_base(self, z_class: int, m: int, backend: str) -> tuple[int, ...]:
-        z = self.classes.classes[z_class].rep
         ccs = self.centralizer_classes(z_class)
         k = len(ccs)
-        roots = [a for a in range(k) if ccs.classes[a].rep ** m == z]
+        roots = self.root_classes(z_class, m)
         if backend == "cmc":
             inv = ccs.inverse_map()
             out = []
@@ -160,20 +171,14 @@ class Session:
         if backend != "characters":
             raise ValueError(f"unknown gamma backend {backend!r}")
         table = self.centralizer_table(z_class)
-        order = self.centralizer_order(z_class)
-        weights = []
-        for chi in table.irreducibles:
-            ph = ZERO
-            for a in roots:
-                ph = ph + chi.values[a] * ccs.classes[a].size
-            weights.append(ph.abs_squared() / chi.degree().rational_value())
+        betas = [beta(self, z_class, m, i) for i in range(len(table.irreducibles))]
         out = []
         for c in range(k):
             tot = ZERO
-            for chi, wt in zip(table.irreducibles, weights):
-                if not wt.is_zero():
-                    tot = tot + wt * chi.values[c]
-            val = (tot / order).rational_value()
+            for chi, b in zip(table.irreducibles, betas):
+                if not b.is_zero():
+                    tot = tot + b * chi.values[c]
+            val = tot.rational_value()
             if val is None or val.denominator != 1 or val < 0:
                 raise InvariantError(f"gamma: value not in N at z-class {z_class}, m={m}, class {c}")
             out.append(int(val))
@@ -242,20 +247,18 @@ class Session:
 
 def w_class_function(session: Session, z_class: int, m: int) -> ClassFunction:
     """Indicator class function of m-th roots of z inside C_G(z)."""
-    z = session.classes.classes[z_class].rep
     ccs = session.centralizer_classes(z_class)
-    return ClassFunction(ccs, [1 if cl.rep**m == z else 0 for cl in ccs.classes])
+    roots = session.root_classes(z_class, m)
+    return ClassFunction(ccs, [1 if a in roots else 0 for a in range(len(ccs))])
 
 
 def phi(session: Session, z_class: int, m: int, chi_index: int) -> Cyclotomic:
     """Character sum over the m-th roots of z in C_G(z)."""
-    z = session.classes.classes[z_class].rep
     table = session.centralizer_table(z_class)
     chi = table.irreducibles[chi_index]
     out = ZERO
-    for cl, value in zip(table.classes.classes, chi.values):
-        if cl.rep**m == z:
-            out = out + value * cl.size
+    for a in session.root_classes(z_class, m):
+        out = out + chi.values[a] * table.classes.classes[a].size
     return out
 
 
@@ -288,25 +291,12 @@ def reduce_gamma_params(session: Session, z_class: int, m: int) -> GammaReductio
     if m0 == 0:
         a = 1
     else:
-        _, u, _ = _ext_gcd(m0, ez)
-        a = u % ez
         step = ez // mp
+        a = pow(m0 // mp, -1, step)
         while math.gcd(a, ez) != 1:
             a = (a + step) % ez
     a_inv = pow(a, -1, ez)
     return GammaReduction("reduced", mp, a_inv)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def gamma(

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
-from fszd import ClassFunction, Group, Session, construct_group
+from fszd import ClassFunction, Group, Permutation, Session, construct_group
 
 # SL(2,3) acting on the eight nonzero vectors of F_3^2
 SL23_SPEC = "perm:(1,4,7)(2,8,5);(1,6,2,3)(4,7,8,5)"
@@ -46,6 +47,14 @@ def group():
 @pytest.fixture(scope="session")
 def session_for():
     return get_session
+
+
+@st.composite
+def two_generator_groups(draw):
+    """Random subgroups of S_n, n <= 6, generated by two permutations."""
+    n = draw(st.integers(1, 6))
+    gens = [Permutation(draw(st.permutations(range(n)))) for _ in range(2)]
+    return Group(n, gens)
 
 
 def transported_eta_index(session: Session, src_class: int, eta_index: int, t, dst_class: int) -> int:

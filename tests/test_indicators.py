@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +347,29 @@ def test_wrong_conjugator_raises_typed_error(monkeypatch):
     session = Session(construct_group("S3"))
     with pytest.raises(InvariantError, match="mate"):
         mu(session, 1, 2)
+
+
+_WRONG_CONJUGATOR_SCRIPT = """
+import fszd.indicators
+from fszd import InvariantError, Permutation, Session, construct_group, mu
+three_cycle = Permutation.from_cycles(3, [(1, 2, 3)])
+fszd.indicators.conjugator = lambda G, a, b: three_cycle
+try:
+    mu(Session(construct_group("S3")), 1, 2)
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+def test_wrong_conjugator_raises_under_optimize():
+    # pytest's own asserts vanish under -O, so run the scenario in a child
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_CONJUGATOR_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == "mate: bad conjugator at z-class 0, h-class 1\n"
 
 
 def test_centralizer_groups_are_shared(monkeypatch):

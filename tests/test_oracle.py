@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from fszd import (
     Permutation,
     ResourceLimitError,
+    Session,
+    all_indicators,
     benchmark,
     commuting_pair_table,
     construct_group,
     double_character,
+    fsz_test,
     gmz_count_naive,
     nu,
     nu_naive,
@@ -15,7 +19,7 @@ from fszd import (
 )
 from fszd.oracle import pow_by_squaring
 
-from conftest import get_group, get_session
+from conftest import get_group, get_session, two_generator_groups
 
 
 def test_pow_by_squaring():
@@ -103,6 +107,16 @@ def test_oracle_sweep_exotic_groups():
     for spec in EXOTIC_SPECS:
         report = oracle_equivalence_sweep(get_group(spec))
         assert report.mismatches == (), (spec, report.mismatches[:2])
+
+
+@given(two_generator_groups().filter(lambda G: G.order() <= 72))
+@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_oracle_sweep_random_groups(G):
+    report = oracle_equivalence_sweep(G)
+    assert report.values_checked and report.mismatches == (), report.mismatches[:2]
+    session = Session(G)
+    rational = all(e.rational for s in all_indicators(session).simples for e in s.indicators)
+    assert fsz_test(session).verdict == rational
 
 
 def test_resource_limits():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from fszd import (
     DegreeLimitError,
-    Group,
     NotInGroupError,
     BadDivisorError,
     Permutation,
@@ -22,7 +21,7 @@ from fszd import (
 )
 from fszd.permcore import StabilizerChain
 
-from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group
+from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, two_generator_groups
 
 perms5 = st.permutations(range(5)).map(Permutation)
 
@@ -356,13 +355,6 @@ def _check_against_filters(G):
 @pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
 def test_orbit_subgroups_match_filters(spec):
     _check_against_filters(get_group(spec))
-
-
-@st.composite
-def two_generator_groups(draw):
-    n = draw(st.integers(1, 6))
-    gens = [Permutation(draw(st.permutations(range(n)))) for _ in range(2)]
-    return Group(n, gens)
 
 
 @given(two_generator_groups())
