@@ -10,6 +10,8 @@ eigenvalues in ascending order.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
 from ._nt import divisors, is_prime, modinv, primitive_root, tonelli_sqrt
@@ -27,7 +29,7 @@ DEFAULT_TABLE_ORDER_LIMIT = 100_000
 class ClassFunction:
     """Exact values indexed by the conjugacy classes of a fixed class set."""
 
-    __slots__ = ("classes", "values")
+    __slots__ = ("classes", "values", "_ints")
 
     def __init__(self, classes: ConjugacyClassSet, values: Sequence):
         vals = tuple(
@@ -37,6 +39,24 @@ class ClassFunction:
             raise ValueError("one value per conjugacy class required")
         self.classes = classes
         self.values = vals
+        self._ints = None
+
+    def _integer_form(self) -> tuple[int, tuple]:
+        """(D, forms) with D the lcm of every coefficient denominator and one
+        form per value v: the int D*v when v is rational, else
+        (conductor, ((j, c), ...)) with D*v = sum of c * zeta^j over the
+        nonzero power-basis coefficients.  Cached, as values never change."""
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for v in self.values for c in v.coeffs))
+            forms = []
+            for v in self.values:
+                scaled = [c.numerator * (den // c.denominator) for c in v.coeffs]
+                if v.conductor == 1:
+                    forms.append(scaled[0])
+                else:
+                    forms.append((v.conductor, tuple((j, c) for j, c in enumerate(scaled) if c)))
+            self._ints = den, tuple(forms)
+        return self._ints
 
     def __getitem__(self, class_index: int) -> Cyclotomic:
         return self.values[class_index]
@@ -85,12 +105,45 @@ class ClassFunction:
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum over classes of |class| * f * conj(g), exact."""
+    """(1/|G|) sum over classes of |class| * f * conj(g), exact.
+
+    Works on the integer forms of f and g.  Rational products add up as
+    plain ints.  A product with an irrational factor is a sum of powers of
+    zeta_L, L the lcm of the conductors, and conj(zeta^j) = zeta^-j; its
+    terms go unreduced into one exponent buffer per L, which is reduced
+    once through the power table at the end.
+    """
     f._check_same(g)
-    total = ZERO
-    for cl, fv, gv in zip(f.classes.classes, f.values, g.values):
-        total = total + fv * gv.galois(-1) * cl.size
-    return total / f.classes.group.order()
+    df, fv = f._integer_form()
+    dg, gv = g._integer_form()
+    rat = 0
+    bufs: dict[int, list[int]] = {}
+    for cl, a, b in zip(f.classes.classes, fv, gv):
+        if not (a and b):
+            continue
+        if type(a) is int:
+            if type(b) is int:
+                rat += cl.size * a * b
+                continue
+            (L, tb), ta = b, ((0, a),)
+        elif type(b) is int:
+            (L, ta), tb = a, ((0, b),)
+        else:
+            L = math.lcm(a[0], b[0])
+            ta = [(i * (L // a[0]), x) for i, x in a[1]]
+            tb = [(j * (L // b[0]), y) for j, y in b[1]]
+        buf = bufs.get(L)
+        if buf is None:
+            buf = bufs[L] = [0] * L
+        for i, x in ta:
+            x *= cl.size
+            for j, y in tb:
+                buf[(i - j) % L] += x * y
+    den = f.classes.group.order() * df * dg
+    total = Cyclotomic.rational(Fraction(rat, den))
+    for L, buf in bufs.items():
+        total = total + from_root_combination(L, dict(enumerate(buf))) / den
+    return total
 
 
 def class_mult_coeff(classes: ConjugacyClassSet, a: int, b: int, c: int) -> int:
@@ -341,40 +394,55 @@ def character_table(G: Group, order_limit: int | None = None) -> CharacterTable:
 
     inv_map = cs.inverse_map()
     sizes = [cl.size for cl in cs.classes]
+    inv_sizes = [modinv(size, p) for size in sizes]
     orders = [cl.order for cl in cs.classes]
+    # multiplicity lift, taken once per table: the power-map column
+    # (class of rep**t, t < order) of each class, and for each element
+    # order o the matrix of zeta_o^(-i*t) / o mod p
+    pmaps = [cs.power_map(t) for t in range(max(orders))]
+    columns = [[pm[j] for pm in pmaps[:o]] for j, o in enumerate(orders)]
+    lift = {}
+    for o in set(orders):
+        zeta = pow(w, e // o, p)
+        inv_o = modinv(o, p)
+        zpow = [pow(zeta, a, p) * inv_o % p for a in range(o)]
+        lift[o] = [[zpow[-i * t % o] for t in range(o)] for i in range(o)]
 
     rows = []
-    for sp in spaces:
+    for r, sp in enumerate(spaces):
+        where = f"{G!r}, eigenspace {r}"
         vec = sp.rows[0]
         if vec[0] == 0:
-            raise TableComputationError("degenerate central character")
+            raise TableComputationError(f"degenerate central character ({where})")
         norm = modinv(vec[0], p)
         omega = [x * norm % p for x in vec]
-        s = sum(omega[j] * omega[inv_map[j]] * modinv(sizes[j], p) for j in range(k)) % p
+        s = sum(omega[j] * omega[inv_map[j]] * inv_sizes[j] for j in range(k)) % p
         d2 = n * modinv(s, p) % p
-        root = tonelli_sqrt(d2, p)
+        try:
+            root = tonelli_sqrt(d2, p)
+        except ValueError:
+            raise TableComputationError(
+                f"degree recovery failed ({where}): {d2} is not a square mod {p}"
+            ) from None
         deg = min(root, p - root)
         if deg == 0 or deg * deg > n:
-            raise TableComputationError("degree recovery failed")
-        chihat = [deg * omega[j] * modinv(sizes[j], p) % p for j in range(k)]
+            raise TableComputationError(f"degree recovery failed ({where}): degree {deg}")
+        chihat = [deg * omega[j] * inv_sizes[j] % p for j in range(k)]
         values = []
-        for j in range(k):
-            o = orders[j]
-            zeta = pow(w, e // o, p)
-            inv_o = modinv(o, p)
+        for j, column in enumerate(columns):
+            col = [chihat[c] for c in column]
             mults = {}
-            for i in range(o):
-                tot = 0
-                for t in range(o):
-                    tot += chihat[cs.power_map(t)[j]] * pow(zeta, (-i * t) % o, p)
-                m_i = tot * inv_o % p
+            for i, zrow in enumerate(lift[orders[j]]):
+                m_i = sum(c * z for c, z in zip(col, zrow)) % p
                 if m_i:
                     if m_i > deg:
-                        raise TableComputationError("multiplicity lift out of range")
+                        raise TableComputationError(
+                            f"multiplicity lift out of range ({where}, class {j})"
+                        )
                     mults[i] = m_i
             if sum(mults.values()) != deg:
-                raise TableComputationError("multiplicity lift inconsistent")
-            values.append(from_root_combination(o, mults))
+                raise TableComputationError(f"multiplicity lift inconsistent ({where}, class {j})")
+            values.append(from_root_combination(orders[j], mults))
         rows.append(ClassFunction(cs, values))
 
     rows.sort(key=lambda cf: (cf.degree().as_integer(), [v.sort_key() for v in cf.values]))
@@ -389,13 +457,16 @@ def _quick_check(table: CharacterTable) -> None:
     n = table.group.order()
     degs = table.degrees
     if sum(d * d for d in degs) != n:
-        raise TableComputationError("degree sum check failed")
+        raise TableComputationError(f"degree sum check failed for {table.group!r}")
     irr = table.irreducibles
     for i in range(len(irr)):
         for j in range(i, len(irr)):
             ip = inner_product(irr[i], irr[j])
             if ip != (1 if i == j else 0):
-                raise TableComputationError("row orthogonality check failed")
+                raise TableComputationError(
+                    f"row orthogonality check failed for {table.group!r}: "
+                    f"<chi_{i}, chi_{j}> = {ip!r}"
+                )
 
 
 def verify_class_algebra(table: CharacterTable) -> None:

@@ -88,7 +88,7 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
 # canonicalization: reduce a residue vector to its minimal conductor
 
 
-def _accumulate(n: int, terms, out: list[Fraction] | None = None) -> list[Fraction]:
+def _accumulate(n: int, terms, out: list | None = None) -> list:
     """Add c * zeta_n^k for each (k, c) in terms to the conductor-n residue
     vector out (a zero vector when omitted), one power-table row per term."""
     table = _power_table(n)
@@ -367,8 +367,9 @@ def from_root(k: int, n: int) -> Cyclotomic:
 
 
 def from_root_combination(n: int, coeff_by_exponent: dict[int, Rational]) -> Cyclotomic:
-    """sum of c_k * zeta_n^k for the given exponent -> coefficient mapping."""
-    return Cyclotomic(n, _accumulate(n, coeff_by_exponent.items()))
+    """sum of c_k * zeta_n^k for the given exponent -> coefficient mapping;
+    integer coefficients are reduced in integers."""
+    return Cyclotomic(n, _accumulate(n, coeff_by_exponent.items(), [0] * euler_phi(n)))
 
 
 def galois(v: Cyclotomic, r: int) -> Cyclotomic:

@@ -2,17 +2,22 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fszd import (
     ClassFunction,
+    Cyclotomic,
     MismatchedTablesError,
     NotInGroupError,
     Permutation,
     ResourceLimitError,
+    TableComputationError,
     character_table,
     class_mult_coeff,
     class_position,
     construct_group,
+    from_root,
     inner_product,
     power_map,
     verify_class_algebra,
@@ -243,3 +248,138 @@ def test_adams_on_class_functions():
     exp = table.classes.exponent
     constant = cf.adams(exp)
     assert all(v == cf.degree() for v in constant.values)
+
+
+# ---------------------------------------------------------------------------
+# the integer inner product and the exact self-check
+
+IP_SPECS = ("C5xC5", "Q8xC3", SL23_SPEC, "S5")
+
+
+@st.composite
+def mixed_values(draw, length):
+    """Fraction-valued cyclotomics mixing conductors 1, 4, 5, 8 and 12."""
+    values = []
+    for _ in range(length):
+        v = Cyclotomic.rational(0)
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.sampled_from((1, 4, 5, 8, 12)))
+            q = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 6)))
+            v = v + from_root(draw(st.integers(0, n - 1)), n) * q
+        values.append(v)
+    return values
+
+
+def _reference_inner_product(f, g):
+    total = Cyclotomic.rational(0)
+    for cl, fv, gv in zip(f.classes.classes, f.values, g.values):
+        total = total + fv * gv.galois(-1) * cl.size
+    return total / f.classes.group.order()
+
+
+@given(st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_inner_product_matches_cyclotomic_reference(data):
+    table = character_table(get_group(data.draw(st.sampled_from(IP_SPECS))))
+    k = len(table.classes)
+    f = ClassFunction(table.classes, data.draw(mixed_values(k)))
+    if data.draw(st.booleans()):
+        g = table.irreducibles[data.draw(st.integers(0, k - 1))]
+    else:
+        g = ClassFunction(table.classes, data.draw(mixed_values(k)))
+    for a, b in ((f, g), (g, f), (f, f)):
+        got = inner_product(a, b)
+        want = _reference_inner_product(a, b)
+        assert got == want
+        assert (got.conductor, got.coeffs) == Cyclotomic(got.conductor, got.coeffs).sort_key()
+
+
+def test_independent_verifiers_avoid_the_integer_path(monkeypatch):
+    import fszd.chartab as chartab
+
+    def forbidden(*args):
+        raise AssertionError("integer inner-product path used")
+
+    table = character_table(get_group("Q8xC3"))
+    monkeypatch.setattr(chartab, "inner_product", forbidden)
+    monkeypatch.setattr(chartab.ClassFunction, "_integer_form", forbidden)
+    verify_column_orthogonality(table)
+    verify_class_algebra(table)
+
+
+def _corrupted(spec, row_index, change):
+    from fszd.chartab import CharacterTable
+
+    base = character_table(get_group(spec))
+    rows = list(base.irreducibles)
+    values = list(rows[row_index].values)
+    change(values)
+    rows[row_index] = ClassFunction(base.classes, values)
+    return CharacterTable(base.group, base.classes, rows)
+
+
+def test_self_check_rejects_a_conjugated_value():
+    from fszd.chartab import _quick_check
+
+    table = character_table(get_group("C5xC5"))
+    r, j = next(
+        (r, j)
+        for r, cf in enumerate(table.irreducibles)
+        for j, v in enumerate(cf.values)
+        if not v.is_real()
+    )
+
+    def conjugate_one(values):
+        values[j] = values[j].galois(-1)
+
+    with pytest.raises(TableComputationError, match="row orthogonality"):
+        _quick_check(_corrupted("C5xC5", r, conjugate_one))
+
+
+def test_self_check_rejects_swapped_values():
+    from fszd.chartab import _quick_check
+
+    table = character_table(get_group("Q8xC3"))
+    r = len(table.irreducibles) - 1
+    values = table.irreducibles[r].values
+    i, j = next((i, j) for i in range(len(values)) for j in range(i) if values[i] != values[j])
+
+    def swap(values):
+        values[i], values[j] = values[j], values[i]
+
+    with pytest.raises(TableComputationError, match="row orthogonality"):
+        _quick_check(_corrupted("Q8xC3", r, swap))
+
+
+def test_self_check_rejects_a_scaled_row():
+    from fszd.chartab import _quick_check
+
+    def double(values):
+        values[:] = [v * 2 for v in values]
+
+    with pytest.raises(TableComputationError):
+        _quick_check(_corrupted("Q8xC3", 1, double))
+
+
+def test_self_check_takes_every_pair(monkeypatch):
+    import fszd.chartab as chartab
+
+    calls = []
+    inner = chartab.inner_product
+    monkeypatch.setattr(chartab, "inner_product", lambda f, g: calls.append(1) or inner(f, g))
+    G = construct_group("Q8xC3")
+    k = len(G.conjugacy_classes())
+    character_table(G)
+    assert len(calls) == k * (k + 1) // 2
+
+
+def test_non_residue_degree_raises_typed_error(monkeypatch):
+    import fszd.chartab as chartab
+
+    def no_root(a, p):
+        raise ValueError(f"{a} is not a quadratic residue mod {p}")
+
+    monkeypatch.setattr(chartab, "tonelli_sqrt", no_root)
+    G = construct_group("S3")
+    with pytest.raises(TableComputationError, match=r"degree recovery failed \(Group\[S3\], eigenspace 0\)"):
+        character_table(G)
