@@ -148,13 +148,9 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
 
 def class_mult_coeff(classes: ConjugacyClassSet, a: int, b: int, c: int) -> int:
     """Number of pairs (x, y) in class a x class b with x*y = rep(c)."""
-    target = classes.classes[c].rep
-    b_elems = classes.classes[b].elements
-    count = 0
-    for x in classes.classes[a].elements:
-        if x.inverse() * target in b_elems:
-            count += 1
-    return count
+    # x * y = rep(c) exactly when y = x^-1 * rep(c), and x^-1 runs over the inverse class
+    (col,) = classes.product_classes(classes.inverse_map()[a], (c,))
+    return col.count(b)
 
 
 class CharacterTable:
@@ -312,14 +308,16 @@ def _choose_prime(exponent: int, order: int) -> int:
 
 
 def _class_matrix(cs: ConjugacyClassSet, i: int) -> list[list[int]]:
-    """M[j][l] = #{x in class i : x^-1 * rep(l) in class j}, exact."""
+    """M[j][l] = #{x in class i : x^-1 * rep(l) in class j}, exact.
+
+    x^-1 runs over the inverse class, so column l counts the classes of
+    y * rep(l) for y there.
+    """
     k = len(cs)
     mat = [[0] * k for _ in range(k)]
-    inverses = [x.inverse() for x in cs.classes[i].elements]
-    pos = cs.position_of
-    for l, cl in enumerate(cs.classes):
-        for xi in inverses:
-            mat[pos(xi * cl.rep)][l] += 1
+    for l, col in enumerate(cs.product_classes(cs.inverse_map()[i], range(k))):
+        for j in col:
+            mat[j][l] += 1
     return mat
 
 

@@ -10,6 +10,17 @@ elements up to a configurable bound (``FSZD_MAX_ORDER`` overrides it) and
 store each class as a Schreier vector of the conjugation action.
 Centralizers, conjugators and restricted normalizers are read off such an
 orbit (transversal elements and Schreier generators) and never enumerate G.
+
+The element-level loops (enumeration, conjugation orbits, class products)
+run on packed images instead of ``Permutation`` objects.  Up to 256 points
+an element is ``bytes(img)``: ``t * x`` is ``x.translate(t + pad)``, where
+``pad`` extends t's image by the identity to all 256 byte values, so the
+product runs in C and the packed element hashes once and sorts in the order
+of its image tuple.  Above 256 points, where a byte cannot hold a point, an
+element is its image tuple and ``t * x`` is ``tuple(map(t.__getitem__, x))``
+with an empty ``pad``.  The degree alone picks the packing (``_packing``);
+``Permutation`` objects are made only at the boundary: class
+representatives, transversal elements and ``Group.elements()``.
 """
 from __future__ import annotations
 
@@ -287,6 +298,29 @@ class StabilizerChain:
 
 
 # ---------------------------------------------------------------------------
+# Packed elements
+
+
+def _compose_tuples(x: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(t.__getitem__, x))
+
+
+def _packing(degree: int):
+    """``(pack, compose, pad)`` for elements of this degree.
+
+    ``pack(img)`` is the packed element of an image tuple, and
+    ``compose(x, t + pad)`` is the packed ``t * x`` for packed x and t.
+    """
+    if degree <= 256:
+        return bytes, bytes.translate, bytes(range(degree, 256))
+    return tuple, _compose_tuples, ()
+
+
+def _unpack(x) -> Permutation:
+    return Permutation._raw(tuple(x))
+
+
+# ---------------------------------------------------------------------------
 # Groups
 
 
@@ -312,6 +346,12 @@ class Group:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
+        # conjugation by generator i of a packed y is compose(compose(a, y + pad), b)
+        # with (a, b) = _conj[i]; by its inverse, with (a, b) = _inverse_conj[i]
+        self._pack, self._compose, self._pad = _packing(degree)
+        packed = [(self._pack(g.img), self._pack(g.inverse().img)) for g in gens]
+        self._conj = tuple((ginv, g + self._pad) for g, ginv in packed)
+        self._inverse_conj = tuple((g, ginv + self._pad) for g, ginv in packed)
         self._enum_limit = enum_limit
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
@@ -336,24 +376,15 @@ class Group:
         return self.chain().contains(p)
 
     def elements(self) -> tuple[Permutation, ...]:
-        """All elements, sorted by image tuple (desk scale only)."""
+        """All elements as Permutations, sorted by image tuple (desk scale only).
+
+        They are unpacked from the packed enumeration ``_packed_elements``
+        (``bytes`` up to 256 points, image tuples above), which sorts in
+        image-tuple order in both packings.  The class computation reads that
+        enumeration directly and does not call this method.
+        """
         if self._elements is None:
-            limit = _enum_limit(self._enum_limit)
-            n = self.order()
-            if n > limit:
-                raise ResourceLimitError(
-                    f"group order {n} exceeds enumeration limit {limit}", limit
-                )
-            seen = {self.identity}
-            queue = deque(seen)
-            while queue:
-                x = queue.popleft()
-                for g in self.generators:
-                    y = g * x
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            self._elements = tuple(sorted(seen))
+            self._elements = tuple(map(_unpack, _packed_elements(self)))
         return self._elements
 
     def conjugacy_classes(self) -> "ConjugacyClassSet":
@@ -370,21 +401,30 @@ class Group:
 
 
 class ConjugacyClass:
-    """A conjugacy class; ``elements`` is its Schreier vector rooted at rep
-    (see ``_conjugation_orbit``), so its keys are the class elements."""
+    """A conjugacy class.
 
-    __slots__ = ("rep", "size", "order", "elements")
+    ``orbit`` is its Schreier vector rooted at rep (see ``_conjugation_orbit``),
+    keyed by packed elements: ``bytes`` images up to 256 points, image tuples
+    above.  ``elements`` unpacks those keys into a frozenset of
+    ``Permutation``s on each access.
+    """
 
-    def __init__(self, rep: Permutation, order: int, elements: dict[Permutation, int]):
+    __slots__ = ("rep", "size", "order", "orbit")
+
+    def __init__(self, rep: Permutation, order: int, orbit: dict):
         self.rep = rep
-        self.size = len(elements)
+        self.size = len(orbit)
         self.order = order
-        self.elements = elements
+        self.orbit = orbit
+
+    @property
+    def elements(self) -> frozenset[Permutation]:
+        return frozenset(map(_unpack, self.orbit))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConjugacyClass):
             return NotImplemented
-        return self.rep == other.rep and self.elements.keys() == other.elements.keys()
+        return self.rep == other.rep and self.orbit.keys() == other.orbit.keys()
 
     def __hash__(self) -> int:
         return hash(self.rep)
@@ -405,10 +445,9 @@ class ConjugacyClassSet:
     def __init__(self, group: Group, classes: Sequence[ConjugacyClass]):
         self.group = group
         self.classes = tuple(classes)
-        self._index: dict[Permutation, int] = {}
+        self._index: dict = {}  # packed element -> class index
         for i, cl in enumerate(self.classes):
-            for x in cl.elements:
-                self._index[x] = i
+            self._index.update(dict.fromkeys(cl.orbit, i))
         self.exponent = math.lcm(*(cl.order for cl in self.classes))
         self._pm_cache: dict[int, tuple[int, ...]] = {}
 
@@ -419,10 +458,12 @@ class ConjugacyClassSet:
         return iter(self.classes)
 
     def position_of(self, x: Permutation) -> int:
-        try:
-            return self._index[x]
-        except KeyError:
-            raise NotInGroupError(f"{x!r} is not in the group") from None
+        G = self.group
+        if isinstance(x, Permutation) and x.degree == G.degree:
+            i = self._index.get(G._pack(x.img))
+            if i is not None:
+                return i
+        raise NotInGroupError(f"{x!r} is not in the group")
 
     def power_map(self, m: int) -> tuple[int, ...]:
         """Class index of rep**m for each class; depends only on m mod exponent."""
@@ -436,46 +477,77 @@ class ConjugacyClassSet:
     def inverse_map(self) -> tuple[int, ...]:
         return self.power_map(-1)
 
+    def product_classes(self, i: int, cols: Iterable[int]) -> Iterator[list[int]]:
+        """For each l in cols, the class index of y * rep(l) for every y in
+        class i, in the order of the class's Schreier vector."""
+        G = self.group
+        compose, pad, index = G._compose, G._pad, self._index
+        tables = [y + pad for y in self.classes[i].orbit]
+        for l in cols:
+            r = G._pack(self.classes[l].rep.img)
+            yield [index[compose(r, t)] for t in tables]
 
-def _conjugation_orbit(G: Group, x: Permutation) -> dict[Permutation, int]:
-    """The class of x as a Schreier vector: each conjugate maps to the index
-    of the generator that first reached it (breadth first), x itself to -1."""
-    gens = G.generators
+
+def _packed_elements(G: Group) -> list:
+    """All elements of G packed, sorted (so in image-tuple order)."""
+    limit = _enum_limit(G._enum_limit)
+    n = G.order()
+    if n > limit:
+        raise ResourceLimitError(f"group order {n} exceeds enumeration limit {limit}", limit)
+    compose = G._compose
+    tables = [g_table for _, g_table in G._conj]
+    todo = [G._pack(range(G.degree))]
+    seen = set(todo)
+    for x in todo:
+        for t in tables:
+            y = compose(x, t)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    todo.sort()
+    return todo
+
+
+def _conjugation_orbit(G: Group, x) -> dict:
+    """The class of packed x as a Schreier vector: each conjugate maps to the
+    index of the generator that first reached it (breadth first), x to -1."""
+    compose, pad = G._compose, G._pad
     orbit = {x: -1}
     todo = [x]
     for y in todo:
-        for i, g in enumerate(gens):
-            z = g.conj(y)
+        y_table = y + pad
+        for i, (a, b) in enumerate(G._conj):
+            z = compose(compose(a, y_table), b)
             if z not in orbit:
                 orbit[z] = i
                 todo.append(z)
     return orbit
 
 
-def _transversal(G: Group, orbit: dict[Permutation, int], y: Permutation) -> Permutation:
-    """The t in G with t.conj(root) == y, read off the Schreier vector."""
-    gens = G.generators
-    inverses = [g.inverse() for g in gens]
-    t = G.identity
+def _transversal(G: Group, orbit: dict, y) -> Permutation:
+    """The t in G with t.conj(root) == y for packed y, read off the Schreier vector."""
+    compose, pad = G._compose, G._pad
+    t = G._pack(range(G.degree))
     i = orbit[y]
     while i >= 0:
-        t = t * gens[i]
-        y = inverses[i].conj(y)
+        g, ginv_table = G._inverse_conj[i]
+        t = compose(g, t + pad)  # t * g
+        y = compose(compose(g, y + pad), ginv_table)
         i = orbit[y]
-    return t
+    return _unpack(t)
 
 
 def _compute_classes(G: Group) -> ConjugacyClassSet:
-    seen: set[Permutation] = set()
-    raw: list[tuple[Permutation, dict[Permutation, int]]] = []
-    for x in G.elements():  # lex order, so x is the lex-min of its (unseen) class
+    seen: set = set()
+    classes = []
+    for x in _packed_elements(G):  # sorted, so x is the lex-min of its (unseen) class
         if x in seen:
             continue
         orbit = _conjugation_orbit(G, x)
         seen.update(orbit)
-        raw.append((x, orbit))
-    raw.sort(key=lambda item: (item[0].order(), len(item[1]), item[0].img))
-    classes = [ConjugacyClass(rep, rep.order(), orbit) for rep, orbit in raw]
+        rep = _unpack(x)
+        classes.append(ConjugacyClass(rep, rep.order(), orbit))
+    classes.sort(key=lambda cl: (cl.order, cl.size, cl.rep.img))
     return ConjugacyClassSet(G, classes)
 
 
@@ -497,12 +569,15 @@ def centralizer(G: Group, z: Permutation) -> Group:
     conjugation, generated by the Schreier generators of z's orbit."""
     if z not in G:
         raise NotInGroupError("centralizer: element is not in the group")
-    orbit = _conjugation_orbit(G, z)
+    compose, pad = G._compose, G._pad
+    orbit = _conjugation_orbit(G, G._pack(z.img))
     target = G.order() // len(orbit)
     schreier = (
-        _transversal(G, orbit, g.conj(y)).inverse() * g * _transversal(G, orbit, y)
+        _transversal(G, orbit, compose(compose(a, y + pad), b)).inverse()
+        * g
+        * _transversal(G, orbit, y)
         for y in orbit
-        for g in G.generators
+        for g, (a, b) in zip(G.generators, G._conj)
     )
     gens: list[Permutation] = []
     chain = StabilizerChain(gens, G.degree)
@@ -523,8 +598,8 @@ def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation
     i = cs.position_of(a)
     if cs.position_of(b) != i:
         return None
-    orbit = cs.classes[i].elements
-    return _transversal(G, orbit, b) * _transversal(G, orbit, a).inverse()
+    orbit = cs.classes[i].orbit
+    return _transversal(G, orbit, G._pack(b.img)) * _transversal(G, orbit, G._pack(a.img)).inverse()
 
 
 def rational_classes(G: Group) -> tuple[tuple[int, ...], ...]:

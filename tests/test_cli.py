@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from fszd.cli import dispatch
 
@@ -145,3 +149,14 @@ def test_byte_identical_reruns(capsys):
 def test_max_degree_flag(capsys):
     code, _, err = run(capsys, "indicators", "--group", "S10", "--max-degree", "9")
     assert code == 2 and "degree" in err
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "fszd", "fsz", "--group", "S3"],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()

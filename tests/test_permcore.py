@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from fszd import (
     DegreeLimitError,
+    Session,
+    all_indicators,
     NotInGroupError,
     BadDivisorError,
     Permutation,
@@ -19,7 +21,8 @@ from fszd import (
     rational_classes,
     restricted_normalizer,
 )
-from fszd.permcore import StabilizerChain
+from fszd.chartab import _class_matrix, class_mult_coeff
+from fszd.permcore import StabilizerChain, _transversal
 
 from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, two_generator_groups
 
@@ -202,7 +205,7 @@ def test_classes_match_bruteforce_grouping():
     # independent oracle: group all elements by full conjugation sweep
     for spec in ("S4", "D6", "Q8", "A4", SL23_SPEC):
         G = get_group(spec)
-        elements = G.elements()
+        elements = _elements_by_bfs(G)
         expected = set()
         for x in elements:
             expected.add(frozenset(t.conj(x) for t in elements))
@@ -361,3 +364,109 @@ def test_orbit_subgroups_match_filters(spec):
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_orbit_subgroups_match_filters_random(G):
     _check_against_filters(G)
+
+
+# -- packed element loops against Permutation-level references ---------------
+
+
+def _elements_by_bfs(G):
+    """G's elements by a breadth-first search over Permutation products g * x."""
+    todo = [G.identity]
+    seen = set(todo)
+    for x in todo:
+        for g in G.generators:
+            y = g * x
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _class_matrix_reference(cs, i):
+    """M[j][l] = #{x in class i : x^-1 * rep(l) in class j}, one inverse per x."""
+    k = len(cs)
+    mat = [[0] * k for _ in range(k)]
+    for l, cl in enumerate(cs.classes):
+        for x in cs.classes[i].elements:
+            mat[cs.position_of(x.inverse() * cl.rep)][l] += 1
+    return mat
+
+
+def _class_mult_coeffs_reference(cs):
+    """(a, b, c) -> #{(x, y) in class a x class b : x * y = rep(c)}, over all pairs."""
+    reps = {cl.rep: c for c, cl in enumerate(cs.classes)}
+    counts = {}
+    for a, ca in enumerate(cs.classes):
+        for b, cb in enumerate(cs.classes):
+            for x in ca.elements:
+                for y in cb.elements:
+                    c = reps.get(x * y)
+                    if c is not None:
+                        counts[a, b, c] = counts.get((a, b, c), 0) + 1
+    return counts
+
+
+def _check_packed_paths(G):
+    elements = G.elements()
+    assert len(elements) == G.order()
+    assert all(x in G for x in elements)  # each packed element sifts through the chain
+    assert set(elements) == _elements_by_bfs(G)
+    assert [x.img for x in elements] == sorted(x.img for x in elements)
+    cs = G.conjugacy_classes()
+    expected = {frozenset(t.conj(x) for t in elements) for x in elements}
+    assert {frozenset(c.elements) for c in cs} == expected
+    for i, cl in enumerate(cs.classes):
+        assert cl.rep == min(cl.elements)
+        for y in cl.orbit:
+            assert _transversal(G, cl.orbit, y).conj(cl.rep).img == tuple(y)
+        assert _class_matrix(cs, i) == _class_matrix_reference(cs, i)
+    k = len(cs)
+    counts = _class_mult_coeffs_reference(cs)
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                assert class_mult_coeff(cs, a, b, c) == counts.get((a, b, c), 0), (a, b, c)
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
+def test_packed_paths_match_references(spec):
+    _check_packed_paths(get_group(spec))
+
+
+@given(two_generator_groups().filter(lambda G: G.order() <= 120))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_packed_paths_match_references_random(G):
+    _check_packed_paths(G)
+
+
+def _class_data(G):
+    cs = G.conjugacy_classes()
+    return [(c.size, c.order, centralizer(G, c.rep).order()) for c in cs]
+
+
+def test_degree_above_256_packs_image_tuples():
+    small = construct_group("perm:(1,2);(1,2,3,4)")
+    big = construct_group("perm:(297,298);(297,298,299,300)", max_degree=300)
+    assert isinstance(next(iter(small.conjugacy_classes().classes[0].orbit)), bytes)
+    assert isinstance(next(iter(big.conjugacy_classes().classes[0].orbit)), tuple)
+    assert big.order() == small.order() == 24
+    assert _class_data(big) == _class_data(small)
+    for G in (small, big):
+        cs = G.conjugacy_classes()
+        elements = G.elements()
+        for x in elements[::5]:
+            for y in elements[::3]:
+                t = conjugator(G, x, y)
+                if cs.position_of(x) == cs.position_of(y):
+                    assert t in G and t.conj(x) == y
+                else:
+                    assert t is None
+        for degree in (3, 5, 299, 301):
+            with pytest.raises(NotInGroupError):
+                cs.position_of(Permutation.identity(degree))
+
+    def values(G):
+        report = all_indicators(Session(G))
+        return sorted((e.m, repr(e.value)) for s in report.simples for e in s.indicators)
+
+    assert values(big) == values(small)
