@@ -47,6 +47,7 @@ from .chartab import (
     character_table,
     class_mult_coeff,
     class_position,
+    class_sum,
     inner_product,
     power_map,
     verify_class_algebra,

@@ -42,20 +42,9 @@ class ClassFunction:
         self._ints = None
 
     def _integer_form(self) -> tuple[int, tuple]:
-        """(D, forms) with D the lcm of every coefficient denominator and one
-        form per value v: the int D*v when v is rational, else
-        (conductor, ((j, c), ...)) with D*v = sum of c * zeta^j over the
-        nonzero power-basis coefficients.  Cached, as values never change."""
+        """``_integer_forms`` of the values, cached as values never change."""
         if self._ints is None:
-            den = math.lcm(*(c.denominator for v in self.values for c in v.coeffs))
-            forms = []
-            for v in self.values:
-                scaled = [c.numerator * (den // c.denominator) for c in v.coeffs]
-                if v.conductor == 1:
-                    forms.append(scaled[0])
-                else:
-                    forms.append((v.conductor, tuple((j, c) for j, c in enumerate(scaled) if c)))
-            self._ints = den, tuple(forms)
+            self._ints = _integer_forms(self.values)
         return self._ints
 
     def __getitem__(self, class_index: int) -> Cyclotomic:
@@ -104,26 +93,42 @@ class ClassFunction:
         return f"ClassFunction{list(self.values)!r}"
 
 
-def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum over classes of |class| * f * conj(g), exact.
+def _integer_forms(values: Sequence[Cyclotomic]) -> tuple[int, tuple]:
+    """(D, forms) with D the lcm of every coefficient denominator and one
+    form per value v: the int D*v when v is rational, else
+    (conductor, ((j, c), ...)) with D*v = sum of c * zeta^j over the
+    nonzero power-basis coefficients."""
+    den = math.lcm(*(c.denominator for v in values for c in v.coeffs))
+    forms = []
+    for v in values:
+        scaled = [c.numerator * (den // c.denominator) for c in v.coeffs]
+        if v.conductor == 1:
+            forms.append(scaled[0])
+        else:
+            forms.append((v.conductor, tuple((j, c) for j, c in enumerate(scaled) if c)))
+    return den, tuple(forms)
 
-    Works on the integer forms of f and g.  Rational products add up as
-    plain ints.  A product with an irrational factor is a sum of powers of
-    zeta_L, L the lcm of the conductors, and conj(zeta^j) = zeta^-j; its
-    terms go unreduced into one exponent buffer per L, which is reduced
-    once through the power table at the end.
+
+def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
+    """(1/den) * sum of w * a * b over (int w, integer form a, integer form b)
+    triples, with conj(b) in place of b when conj is set; exact.
+
+    Rational products add up as plain ints.  A product with an irrational
+    factor is a sum of powers of zeta_L, L the lcm of the conductors, and
+    conj(zeta^j) = zeta^-j; its terms go unreduced into one exponent buffer
+    per L.  The buffers are lifted into one at the lcm of their conductors,
+    which is reduced once through the power table, and the result is divided
+    by den coefficientwise, which keeps it canonical.
     """
-    f._check_same(g)
-    df, fv = f._integer_form()
-    dg, gv = g._integer_form()
+    sign = -1 if conj else 1
     rat = 0
     bufs: dict[int, list[int]] = {}
-    for cl, a, b in zip(f.classes.classes, fv, gv):
-        if not (a and b):
+    for w, a, b in terms:
+        if not (w and a and b):
             continue
         if type(a) is int:
             if type(b) is int:
-                rat += cl.size * a * b
+                rat += w * a * b
                 continue
             (L, tb), ta = b, ((0, a),)
         elif type(b) is int:
@@ -136,14 +141,40 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
         if buf is None:
             buf = bufs[L] = [0] * L
         for i, x in ta:
-            x *= cl.size
+            x *= w
             for j, y in tb:
-                buf[(i - j) % L] += x * y
-    den = f.classes.group.order() * df * dg
-    total = Cyclotomic.rational(Fraction(rat, den))
+                buf[(i + sign * j) % L] += x * y
+    if not bufs:
+        return Cyclotomic.rational(Fraction(rat, den))
+    n = math.lcm(*bufs)
+    total = [0] * n
+    total[0] = rat
     for L, buf in bufs.items():
-        total = total + from_root_combination(L, dict(enumerate(buf))) / den
-    return total
+        step = n // L
+        for j, c in enumerate(buf):
+            if c:
+                total[j * step] += c
+    v = from_root_combination(n, dict(enumerate(total)))
+    if den == 1:
+        return v
+    return Cyclotomic._trusted(v.conductor, tuple(c / den for c in v.coeffs))
+
+
+def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
+    """(1/|G|) sum over classes of |class| * f * conj(g), exact, through
+    ``_dot`` on the integer forms of f and g."""
+    f._check_same(g)
+    df, fv = f._integer_form()
+    dg, gv = g._integer_form()
+    sizes = (cl.size for cl in f.classes.classes)
+    return _dot(zip(sizes, fv, gv), f.classes.group.order() * df * dg, conj=True)
+
+
+def class_sum(f: ClassFunction, weights: dict[int, int], den: int = 1) -> Cyclotomic:
+    """(1/den) * sum of w * f(c) over the (class index c, int w) items of
+    weights, exact, through ``_dot`` on the integer form of f."""
+    d, forms = f._integer_form()
+    return _dot(((w, forms[c], 1) for c, w in weights.items()), den * d)
 
 
 def class_mult_coeff(classes: ConjugacyClassSet, a: int, b: int, c: int) -> int:
@@ -330,11 +361,11 @@ def _split_eigenspaces(spaces: list[_Subspace], mat: list[list[int]], p: int) ->
             out.append(sp)
             continue
         # matrix of the action restricted to the subspace, in RREF coordinates
-        images = []
-        for s in sp.rows:
-            w = [sum(mat[r][c] * s[c] for c in range(k)) % p for r in range(k)]
-            images.append(w)
-        restricted = [[images[j][sp.pivots[l]] for j in range(d)] for l in range(d)]
+        # (the space is M-invariant and its rows are in RREF, so the pivot
+        # coordinates of M*s determine it)
+        restricted = [
+            [sum(x * y for x, y in zip(mat[r], s)) % p for s in sp.rows] for r in sp.pivots
+        ]
         poly = _charpoly_mod(restricted, p)
         roots = [lam for lam in range(p) if _eval_poly_mod(poly, lam, p) == 0]
         covered = 0

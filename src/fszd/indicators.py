@@ -13,6 +13,14 @@ is computed entirely on the class level:
 A Session caches everything per group: centralizer groups (one Group per
 distinct subgroup, so equal centralizers share one character table), gamma
 tables keyed by reduced parameters, mates and mu elements.
+
+Past the character tables every step is an exact dot product of table rows
+with integer or cyclotomic weights: phi and nu are ``class_sum``s of a row
+(nu folds the 1/|C_G(g)| into the denominator), and the characters backend
+of gamma sums beta_chi * chi(c) for each class c.  All of them run through
+chartab's integer kernel ``_dot``, which adds integer forms and
+canonicalizes once per result.
+
 The FSZ rationality test works from the beta coefficients alone and skips
 parameter combinations that are forced rational.
 """
@@ -23,11 +31,18 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from ._nt import divisors
-from .chartab import CharacterTable, ClassFunction, character_table, class_mult_coeff
+from .chartab import (
+    CharacterTable,
+    ClassFunction,
+    _dot,
+    _integer_forms,
+    character_table,
+    class_mult_coeff,
+    class_sum,
+)
 from .cyclotomic import Cyclotomic, ZERO, rationality
 from .errors import BadDivisorError, InvariantError, NonCommutingPairError
 from .permcore import (
@@ -75,7 +90,7 @@ class MuElement:
 
     g_class: int
     m: int
-    coefficients: dict[int, Fraction]
+    coefficients: dict[int, int]
 
 
 class Session:
@@ -173,12 +188,9 @@ class Session:
         table = self.centralizer_table(z_class)
         betas = [beta(self, z_class, m, i) for i in range(len(table.irreducibles))]
         out = []
-        for c in range(k):
-            tot = ZERO
-            for chi, b in zip(table.irreducibles, betas):
-                if not b.is_zero():
-                    tot = tot + b * chi.values[c]
-            val = tot.rational_value()
+        sums = _character_sums(betas, table, f"gamma at z-class {z_class}, m={m}")
+        for c, value in enumerate(sums):
+            val = value.rational_value()
             if val is None or val.denominator != 1 or val < 0:
                 raise InvariantError(f"gamma: value not in N at z-class {z_class}, m={m}, class {c}")
             out.append(int(val))
@@ -236,9 +248,26 @@ class Session:
                 bucket = accum[mt.g_class]
                 bucket[mt.mate_class] = bucket.get(mt.mate_class, 0) + weight * gval
         for g_class, bucket in accum.items():
-            self._mus[(g_class, m)] = MuElement(
-                g_class, m, {c: Fraction(v) for c, v in sorted(bucket.items())}
-            )
+            self._mus[(g_class, m)] = MuElement(g_class, m, dict(sorted(bucket.items())))
+
+
+def _character_sums(
+    coeffs: Sequence[Cyclotomic], table: CharacterTable, where: str
+) -> list[Cyclotomic]:
+    """sum over i of coeffs[i] * chi_i(c) for every class c of the table, one
+    ``_dot`` per class on integer forms.  The rows must need no denominator,
+    as character values are algebraic integers."""
+    den, forms = _integer_forms(coeffs)
+    rows = []
+    for i, chi in enumerate(table.irreducibles):
+        d, row = chi._integer_form()
+        if d != 1:
+            raise InvariantError(f"{where}: character {i} has denominator {d}")
+        rows.append(row)
+    return [
+        _dot(((1, a, row[c]) for a, row in zip(forms, rows)), den)
+        for c in range(len(table.classes))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +284,8 @@ def w_class_function(session: Session, z_class: int, m: int) -> ClassFunction:
 def phi(session: Session, z_class: int, m: int, chi_index: int) -> Cyclotomic:
     """Character sum over the m-th roots of z in C_G(z)."""
     table = session.centralizer_table(z_class)
-    chi = table.irreducibles[chi_index]
-    out = ZERO
-    for a in session.root_classes(z_class, m):
-        out = out + chi.values[a] * table.classes.classes[a].size
-    return out
+    sizes = {a: table.classes.classes[a].size for a in session.root_classes(z_class, m)}
+    return class_sum(table.irreducibles[chi_index], sizes)
 
 
 def beta(session: Session, z_class: int, m: int, chi_index: int) -> Cyclotomic:
@@ -330,13 +356,8 @@ def mu(session: Session, g_class: int, m: int) -> MuElement:
 
 def nu(session: Session, g_class: int, eta_index: int, m: int) -> Cyclotomic:
     """The m-th Frobenius-Schur indicator of the simple labeled (g, eta)."""
-    el = mu(session, g_class, m)
-    table = session.centralizer_table(g_class)
-    eta = table.irreducibles[eta_index]
-    total = ZERO
-    for c, coef in el.coefficients.items():
-        total = total + eta.values[c] * coef
-    return total / session.centralizer_order(g_class)
+    eta = session.centralizer_table(g_class).irreducibles[eta_index]
+    return class_sum(eta, mu(session, g_class, m).coefficients, session.centralizer_order(g_class))
 
 
 def double_character(

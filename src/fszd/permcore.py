@@ -566,11 +566,18 @@ def _commutes(a: Permutation, b: Permutation) -> bool:
 
 def centralizer(G: Group, z: Permutation) -> Group:
     """The subgroup of G commuting with z: the stabilizer of z under
-    conjugation, generated by the Schreier generators of z's orbit."""
+    conjugation, generated by the Schreier generators of z's orbit.
+
+    When G's classes are already computed and z represents its class, the
+    class's stored Schreier vector is that orbit and is reused.
+    """
     if z not in G:
         raise NotInGroupError("centralizer: element is not in the group")
     compose, pad = G._compose, G._pad
-    orbit = _conjugation_orbit(G, G._pack(z.img))
+    x = G._pack(z.img)
+    cs = G._classes
+    cl = cs.classes[cs._index[x]] if cs is not None else None
+    orbit = cl.orbit if cl is not None and cl.rep == z else _conjugation_orbit(G, x)
     target = G.order() // len(orbit)
     schreier = (
         _transversal(G, orbit, compose(compose(a, y + pad), b)).inverse()

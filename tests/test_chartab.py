@@ -16,6 +16,7 @@ from fszd import (
     character_table,
     class_mult_coeff,
     class_position,
+    class_sum,
     construct_group,
     from_root,
     inner_product,
@@ -23,6 +24,9 @@ from fszd import (
     verify_class_algebra,
     verify_column_orthogonality,
 )
+
+from fszd.errors import InvariantError
+from fszd.indicators import _character_sums
 
 from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group
 
@@ -294,6 +298,60 @@ def test_inner_product_matches_cyclotomic_reference(data):
         assert (got.conductor, got.coeffs) == Cyclotomic(got.conductor, got.coeffs).sort_key()
 
 
+def _is_canonical(v):
+    return (v.conductor, v.coeffs) == Cyclotomic(v.conductor, v.coeffs).sort_key()
+
+
+def _reference_class_sum(f, weights, den):
+    total = Cyclotomic.rational(0)
+    for c, w in weights.items():
+        total = total + f.values[c] * w
+    return total / den
+
+
+def _reference_character_sums(coeffs, table):
+    out = []
+    for c in range(len(table.classes)):
+        total = Cyclotomic.rational(0)
+        for b, chi in zip(coeffs, table.irreducibles):
+            total = total + b * chi.values[c]
+        out.append(total)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_kernel_sums_match_cyclotomic_reference(data):
+    """class_sum and the gamma combination step (beta-like coefficients,
+    here irrational, fractional or zero, against the table rows)."""
+    table = character_table(get_group(data.draw(st.sampled_from(IP_SPECS))))
+    k = len(table.classes)
+    if data.draw(st.booleans()):
+        f = table.irreducibles[data.draw(st.integers(0, k - 1))]
+    else:
+        f = ClassFunction(table.classes, data.draw(mixed_values(k)))
+    weights = data.draw(st.dictionaries(st.integers(0, k - 1), st.integers(-6, 6)))
+    weights[data.draw(st.integers(0, k - 1))] = 0
+    den = data.draw(st.integers(1, 12))
+    got = class_sum(f, weights, den)
+    assert got == _reference_class_sum(f, weights, den)
+    assert _is_canonical(got)
+    coeffs = data.draw(mixed_values(k))
+    got = _character_sums(coeffs, table, "test")
+    assert got == _reference_character_sums(coeffs, table)
+    assert all(map(_is_canonical, got))
+
+
+def test_character_sums_reject_a_row_with_a_denominator():
+    def halve(values):
+        values[:] = [v / 2 for v in values]
+
+    table = _corrupted("S4", 1, halve)
+    coeffs = [Cyclotomic.rational(1)] * len(table.classes)
+    with pytest.raises(InvariantError, match=r"test: character 1 has denominator 2"):
+        _character_sums(coeffs, table, "test")
+
+
 def test_independent_verifiers_avoid_the_integer_path(monkeypatch):
     import fszd.chartab as chartab
 
@@ -302,6 +360,8 @@ def test_independent_verifiers_avoid_the_integer_path(monkeypatch):
 
     table = character_table(get_group("Q8xC3"))
     monkeypatch.setattr(chartab, "inner_product", forbidden)
+    monkeypatch.setattr(chartab, "_dot", forbidden)
+    monkeypatch.setattr(chartab, "_integer_forms", forbidden)
     monkeypatch.setattr(chartab.ClassFunction, "_integer_form", forbidden)
     verify_column_orthogonality(table)
     verify_class_algebra(table)

@@ -450,6 +450,49 @@ def test_mu_matches_direct_formula():
                     assert nu(S, g_class, eta_index, m) == direct / cg
 
 
+def test_phi_nu_match_cyclotomic_loops():
+    # the integer kernel against plain Cyclotomic loops, on tables with
+    # irrational characters (conductors 3, 4, 5 and 12)
+    for spec in ("Q8xC3", SL23_SPEC, "C5xC5"):
+        S = get_session(spec)
+        for g_class in range(len(S.classes)):
+            table = S.centralizer_table(g_class)
+            order = S.centralizer_order(g_class)
+            for m in S.divisors:
+                roots = S.root_classes(g_class, m)
+                coefficients = mu(S, g_class, m).coefficients
+                for index, chi in enumerate(table.irreducibles):
+                    want_phi = Cyclotomic.rational(0)
+                    for a in roots:
+                        want_phi = want_phi + chi.values[a] * table.classes.classes[a].size
+                    assert phi(S, g_class, m, index) == want_phi
+                    want_nu = Cyclotomic.rational(0)
+                    for c, coef in coefficients.items():
+                        want_nu = want_nu + chi.values[c] * coef
+                    assert nu(S, g_class, index, m) == want_nu / order
+
+
+def test_nu_makes_no_cyclotomic_arithmetic(monkeypatch):
+    # nu over all of S5 (a rational table, centralizers with irrational
+    # ones) stays on the integer path: with mu built, no Cyclotomic sum or
+    # product at all
+    S = Session(construct_group("S5"))
+    for g_class in range(len(S.classes)):
+        for m in S.divisors:
+            mu(S, g_class, m)
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        method = getattr(Cyclotomic, name)
+        monkeypatch.setattr(
+            Cyclotomic, name, lambda a, b, method=method: calls.append(1) or method(a, b)
+        )
+    for g_class in range(len(S.classes)):
+        for eta_index in range(len(S.centralizer_table(g_class).irreducibles)):
+            for m in S.divisors:
+                nu(S, g_class, eta_index, m)
+    assert calls == []
+
+
 def test_nu_requires_divisor():
     S = get_session("S3")
     with pytest.raises(BadDivisorError):
