@@ -65,9 +65,6 @@ class ClassFunction:
         pm = self.classes.power_map(r)
         return ClassFunction(self.classes, [self.values[j] for j in pm])
 
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.classes, [v.galois(-1) for v in self.values])
-
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._check_same(other)
         return ClassFunction(self.classes, [a + b for a, b in zip(self.values, other.values)])
@@ -117,8 +114,9 @@ def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
     factor is a sum of powers of zeta_L, L the lcm of the conductors, and
     conj(zeta^j) = zeta^-j; its terms go unreduced into one exponent buffer
     per L.  The buffers are lifted into one at the lcm of their conductors,
-    which is reduced once through the power table, and the result is divided
-    by den coefficientwise, which keeps it canonical.
+    which ``from_root_combination`` reduces once modulo the cyclotomic
+    polynomial, and the result is divided by den coefficientwise, which
+    keeps it canonical.
     """
     sign = -1 if conj else 1
     rat = 0

@@ -67,14 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_ms(text: str | None, session: Session) -> list[int] | None:
+def _parse_ms(text: str | None) -> list[int] | None:
     if text is None:
         return None
     try:
-        ms = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise FszdError(f"cannot parse m-list {text!r}") from None
-    return ms
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -107,9 +106,7 @@ def _format_table(report) -> str:
 
 def _cmd_indicators(args) -> int:
     G = construct_group(args.group, max_degree=args.max_degree)
-    session = Session(G)
-    ms = _parse_ms(args.m, session)
-    report = all_indicators(session, ms)
+    report = all_indicators(Session(G), _parse_ms(args.m))
     if args.format == "json":
         _emit(report.to_json(), args.out)
     elif args.format == "csv":
@@ -173,9 +170,7 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_bench(args) -> int:
     G = construct_group(args.group, max_degree=args.max_degree)
-    session = Session(G)
-    ms = _parse_ms(args.m, session)
-    result = benchmark(G, ms)
+    result = benchmark(G, _parse_ms(args.m))
     print(f"group {result.group}: {result.simples} simples, {result.values} indicator values")
     print(f"naive element-level sweep: {result.naive_seconds:.3f}s")
     print(f"class-level sweep:         {result.class_seconds:.3f}s")

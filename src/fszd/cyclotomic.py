@@ -13,7 +13,8 @@ zeta_N^k = zeta_d^(uk) zeta_p^(vk) with up + vd = 1; the term c_k zeta_N^k
 goes to zeta_d^(uk) with weight c_k if p | k and -c_k/(p-1) otherwise.  The
 value lies in Q(zeta_d) exactly when this mean, lifted back to conductor N,
 reproduces its coefficients, so the descent is checked exactly.  Lifting,
-Galois maps, products and the descent all add rows of one power table.
+Galois maps, products and the descent all reduce modulo Phi_N one way: a
+long division by the monic Phi_N that reads only its nonzero lower terms.
 
 Galois maps sigma_r act by zeta_N -> zeta_N^r; complex conjugation is
 sigma_{-1}.  The printer recognizes rationals and real quadratic
@@ -36,20 +37,27 @@ Rational = int | Fraction
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and power tables
+# cyclotomic polynomials and reduction modulo Phi_n
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree (monic, integer)."""
-    if n == 1:
-        return (-1, 1)
-    # (x^n - 1) / prod of Phi_d for proper divisors d
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num = _polydiv_exact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
+    """Coefficients of Phi_n, ascending degree (monic, integer).
+
+    Phi_pm(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m builds
+    Phi_r for the radical r of n, and Phi_n(x) = Phi_r(x^(n/r)).
+    """
+    poly, r = [-1, 1], 1
+    for p in prime_factors(n):
+        poly = _polydiv_exact(_stretch(poly, p), poly)
+        r *= p
+    return tuple(_stretch(poly, n // r))
+
+
+def _stretch(poly: list[int], s: int) -> list[int]:
+    """poly(x^s)."""
+    out = [0] * (s * (len(poly) - 1) + 1)
+    out[::s] = poly
+    return out
 
 
 def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
@@ -68,38 +76,40 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row j is the residue of x^j mod Phi_n, for j in 0..n-1."""
+def _low_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """(j, c) for each nonzero term c x^j of Phi_n below its leading term."""
+    return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
+
+
+def _reduce(n: int, buf: list) -> list:
+    """Reduce sum of buf[k] x^k modulo Phi_n in place, by long division by
+    the monic Phi_n, and cut buf to the phi(n) coefficients of the residue."""
     phi = euler_phi(n)
-    poly = cyclotomic_polynomial(n)
-    top = [-c for c in poly[:phi]]  # x^phi = sum(top[i] x^i)
-    rows = [(1,) + (0,) * (phi - 1)]
-    cur = [1] + [0] * (phi - 1)
-    for _ in range(1, n):
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
-        if lead:
-            cur = [c + lead * t for c, t in zip(cur, top)]
-        rows.append(tuple(cur))
-    return tuple(rows)
+    low = _low_terms(n)
+    for i in range(len(buf) - 1, phi - 1, -1):
+        c = buf[i]
+        if c:
+            shift = i - phi
+            for j, a in low:
+                buf[shift + j] -= c * a
+    del buf[phi:]
+    return buf
 
 
 # ---------------------------------------------------------------------------
 # canonicalization: reduce a residue vector to its minimal conductor
 
 
-def _accumulate(n: int, terms, out: list | None = None) -> list:
-    """Add c * zeta_n^k for each (k, c) in terms to the conductor-n residue
-    vector out (a zero vector when omitted), one power-table row per term."""
-    table = _power_table(n)
-    if out is None:
-        out = [Fraction(0)] * euler_phi(n)
+def _accumulate(n: int, terms) -> list[Fraction]:
+    """The conductor-n residue vector of the sum of c * zeta_n^k over the
+    (k, c) in terms, c rational: the numerators over a common denominator
+    are scattered over the exponents mod n and reduced in integers."""
+    terms = [(k, c) for k, c in terms if c]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    buf = [0] * n
     for k, c in terms:
-        if c:
-            for i, e in enumerate(table[k % n]):
-                if e:
-                    out[i] += c * e
-    return out
+        buf[k % n] += c.numerator * (den // c.denominator)
+    return [Fraction(x, den) for x in _reduce(n, buf)]
 
 
 def _substitute(n: int, vec, s: int) -> list[Fraction]:
@@ -259,15 +269,13 @@ class Cyclotomic:
             return o * self
         L = math.lcm(self.conductor, o.conductor)
         va, vb = self._lift(L), o._lift(L)
-        phi = euler_phi(L)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        conv = [Fraction(0)] * (2 * len(va) - 1)
         for i, a in enumerate(va):
             if a:
                 for j, b in enumerate(vb):
                     if b:
                         conv[i + j] += a * b
-        out = _accumulate(L, enumerate(conv[phi:], phi), conv[:phi])
-        n, tup = _canonical(L, out)
+        n, tup = _canonical(L, _reduce(L, conv))
         return Cyclotomic._trusted(n, tup)
 
     __rmul__ = __mul__
@@ -362,14 +370,12 @@ def from_root(k: int, n: int) -> Cyclotomic:
     """zeta_n^k in canonical form."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    row = _power_table(n)[k % n]
-    return Cyclotomic(n, row)
+    return Cyclotomic(n, _accumulate(n, ((k, 1),)))
 
 
 def from_root_combination(n: int, coeff_by_exponent: dict[int, Rational]) -> Cyclotomic:
-    """sum of c_k * zeta_n^k for the given exponent -> coefficient mapping;
-    integer coefficients are reduced in integers."""
-    return Cyclotomic(n, _accumulate(n, coeff_by_exponent.items(), [0] * euler_phi(n)))
+    """sum of c_k * zeta_n^k for the given exponent -> coefficient mapping."""
+    return Cyclotomic(n, _accumulate(n, coeff_by_exponent.items()))
 
 
 def galois(v: Cyclotomic, r: int) -> Cyclotomic:
@@ -398,10 +404,6 @@ def sqrt_cyclotomic(d: int) -> Cyclotomic:
                 g = g * from_root(3, 4)
         out = out * g
     return out
-
-
-def _format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 def _try_quadratic(v: Cyclotomic):
@@ -451,11 +453,11 @@ def _format_polynomial(v: Cyclotomic) -> str:
         if c == 0:
             continue
         if j == 0:
-            parts.append(_format_rational(c))
+            parts.append(str(c))
             continue
         sym = f"ζ{n}" if j == 1 else f"ζ{n}^{j}"
         mag = abs(c)
-        body = sym if mag == 1 else f"{_format_rational(mag)}{sym}"
+        body = sym if mag == 1 else f"{mag}{sym}"
         if c < 0:
             parts.append("-" + body)
         else:
@@ -466,7 +468,7 @@ def _format_polynomial(v: Cyclotomic) -> str:
 def pretty(v: Cyclotomic) -> str:
     q = v.rational_value()
     if q is not None:
-        return _format_rational(q)
+        return str(q)
     quad = _try_quadratic(v)
     if quad is not None:
         return _format_quadratic(*quad)

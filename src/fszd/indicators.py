@@ -349,8 +349,7 @@ def mate(session: Session, z_class: int, h_class_in_cz: int) -> Mate:
 
 
 def mu(session: Session, g_class: int, m: int) -> MuElement:
-    if session.exponent % m != 0:
-        raise BadDivisorError(f"m={m} does not divide exp(G)={session.exponent}")
+    checked_ms(session, (m,))
     return session.mu(g_class, m)
 
 
@@ -531,15 +530,19 @@ class IndicatorReport:
         raise KeyError((g_class, eta_index))
 
 
+def checked_ms(session: Session, ms: Iterable[int] | None) -> list[int]:
+    """The m values of a sweep: every divisor of exp(G) when ms is None, else
+    ms sorted without repeats; each is checked to divide exp(G)."""
+    m_list = list(session.divisors) if ms is None else sorted(set(ms))
+    for m in m_list:
+        if m < 1 or session.exponent % m != 0:
+            raise BadDivisorError(f"m={m} does not divide exp(G)={session.exponent}")
+    return m_list
+
+
 def all_indicators(session: Session, ms: Iterable[int] | None = None) -> IndicatorReport:
     """Indicators for every simple of D(G) and every requested divisor m."""
-    if ms is None:
-        m_list = list(session.divisors)
-    else:
-        m_list = sorted(set(ms))
-        for m in m_list:
-            if m < 1 or session.exponent % m != 0:
-                raise BadDivisorError(f"m={m} does not divide exp(G)={session.exponent}")
+    m_list = checked_ms(session, ms)
     simples = []
     for g_class in range(len(session.classes)):
         table = session.centralizer_table(g_class)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from .chartab import ClassFunction
 from .cyclotomic import Cyclotomic, ZERO
-from .errors import ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 from .permcore import Group, Permutation, _commutes, env_max_order
 
 DEFAULT_MAX_ORDER = 5040
@@ -126,9 +126,11 @@ def commuting_pair_table(G: Group, max_order: int | None = None) -> CommutingPai
                         queue.append(pair)
             pair_seen |= orbit
             stab, rem = divmod(n, len(orbit))
-            assert rem == 0, "orbit size must divide the group order"
+            if rem:
+                raise InvariantError(f"commuting pairs: orbit size {len(orbit)} does not divide {n}")
             entries.append(PairOrbit(x, y, stab))
-    assert sum(n // e.stabilizer_order for e in entries) == total_pairs
+    if sum(n // e.stabilizer_order for e in entries) != total_pairs:
+        raise InvariantError(f"commuting pairs: orbit sizes do not add up to {total_pairs} pairs")
     return CommutingPairTable(G, entries)
 
 
@@ -170,10 +172,10 @@ def oracle_equivalence_sweep(
     The pair-orbit gamma counts are shared across simples for a given m;
     each identity asserted is still the full defining formula.
     """
-    from .indicators import Session, all_indicators, double_character
+    from .indicators import Session, all_indicators, checked_ms, double_character
 
     session = Session(G)
-    m_list = list(session.divisors) if ms is None else sorted(set(ms))
+    m_list = checked_ms(session, ms)
     elements = _guard(G, max_order)
     report = all_indicators(session, m_list)
     pair_table = commuting_pair_table(G, max_order)
@@ -230,12 +232,11 @@ def benchmark(G: Group, ms: Sequence[int] | None = None) -> BenchResult:
     fresh copy of the group, so it pays for every conjugacy class, subgroup
     and character table it needs.
     """
-    from .indicators import Session, all_indicators
+    from .indicators import Session, all_indicators, checked_ms
 
-    G.elements()
-    G.conjugacy_classes()
     prep = Session(G)
-    m_list = list(prep.divisors) if ms is None else sorted(set(ms))
+    m_list = checked_ms(prep, ms)
+    G.elements()
     triples = []
     for g_class in range(len(prep.classes)):
         table = prep.centralizer_table(g_class)

@@ -211,14 +211,17 @@ class StabilizerChain:
     def __init__(self, generators: Sequence[Permutation], degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
-        gens = [g for g in generators if not g.is_identity()]
-        if gens:
-            moved = min(p for g in gens for p in range(degree) if g.img[p] != p)
-            level = _Level(moved)
-            level.new_gens.extend(gens)
-            self.levels.append(level)
-            self._rebuild_orbit(0)
-            self._verify_all()
+        for g in generators:
+            self.extend(g)
+
+    def extend(self, g: Permutation) -> bool:
+        """Add g to the chain's group; False when g is already a member."""
+        residue, j = self.strip(g)
+        if residue.is_identity():
+            return False
+        self._add_at(residue, j)
+        self._verify_all(j)
+        return True
 
     def strip(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
         i = start
@@ -288,10 +291,9 @@ class StabilizerChain:
                 return j
         return None
 
-    def _verify_all(self) -> None:
-        # A level is verified only after all deeper levels are; any addition at
-        # level j restarts verification there, since transversals changed.
-        i = len(self.levels) - 1
+    def _verify_all(self, i: int) -> None:
+        # Levels deeper than i are verified already; any addition at level j
+        # restarts verification there, since transversals changed.
         while i >= 0:
             j = self._verify_level(i)
             i = i - 1 if j is None else j
@@ -590,9 +592,8 @@ def centralizer(G: Group, z: Permutation) -> Group:
     chain = StabilizerChain(gens, G.degree)
     while chain.order() < target:
         s = next(schreier)
-        if not chain.contains(s):
+        if chain.extend(s):
             gens.append(s)
-            chain = StabilizerChain(gens, G.degree)
     name = f"C_{G.name or 'G'}({z.cycle_string()})"
     C = Group(G.degree, gens, name=name, enum_limit=G._enum_limit)
     C._chain = chain

@@ -130,6 +130,16 @@ def test_bench_smoke(capsys):
     assert "speedup ratio" in out
 
 
+def test_bench_rejects_bad_m_before_timing(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("nu_naive called")
+
+    monkeypatch.setattr("fszd.oracle.nu_naive", fail)
+    code, out, err = run(capsys, "bench", "--group", "S4", "--m", "5")
+    assert code == 2
+    assert "m=5 does not divide" in err and not out
+
+
 def test_byte_identical_reruns(capsys):
     outputs = []
     for _ in range(2):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from fszd import (
+    InvariantError,
     Permutation,
     ResourceLimitError,
     Session,
@@ -132,6 +133,15 @@ def test_max_order_env(monkeypatch):
     G = construct_group("A4")
     with pytest.raises(ResourceLimitError):
         gmz_count_naive(G, G.identity, G.identity, 2)
+
+
+def test_commuting_pair_table_checks_orbit_sizes(monkeypatch):
+    # a wrong |G| breaks the orbit-stabilizer count; the check must raise
+    # even under python -O
+    G = construct_group("S3")
+    monkeypatch.setattr(G, "order", lambda: 7)
+    with pytest.raises(InvariantError, match="commuting pairs"):
+        commuting_pair_table(G)
 
 
 def test_benchmark_smoke():

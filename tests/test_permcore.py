@@ -167,6 +167,16 @@ def test_stabilizer_chain_empty():
     assert not chain.contains(Permutation.from_cycles(4, [(1, 2)]))
 
 
+def test_stabilizer_chain_extend():
+    chain = StabilizerChain([], 5)
+    t = Permutation.from_cycles(5, [(1, 2)])
+    c = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
+    assert chain.extend(t) and chain.order() == 2
+    assert not chain.extend(t) and not chain.extend(Permutation.identity(5))
+    assert chain.extend(c) and chain.order() == 120
+    assert chain.order() == StabilizerChain([c, t], 5).order()
+
+
 def test_subgroup_membership():
     S4 = get_group("S4")
     A4 = get_group("A4")
