@@ -71,9 +71,12 @@ def _parse_ms(text: str | None) -> list[int] | None:
     if text is None:
         return None
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        ms = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise FszdError(f"cannot parse m-list {text!r}") from None
+    if not ms:
+        raise FszdError(f"m-list {text!r} has no entries")
+    return ms
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -17,10 +17,11 @@ Galois maps, products and the descent all reduce modulo Phi_N one way: a
 long division by the monic Phi_N that reads only its nonzero lower terms.
 
 Galois maps sigma_r act by zeta_N -> zeta_N^r; complex conjugation is
-sigma_{-1}.  The printer recognizes rationals and real quadratic
-irrationalities (one Galois conjugate splits off the square root, whose
-sign an exact Gauss sum fixes), and falls back to an explicit
-zeta-polynomial otherwise.
+sigma_{-1}.  Sums and products work on the integer numerators of both
+operands over their common denominators and divide once.  The printer
+recognizes rationals and real quadratic irrationalities (one Galois
+conjugate splits off the square root, whose sign an exact Gauss sum fixes),
+and falls back to an explicit zeta-polynomial otherwise.
 """
 from __future__ import annotations
 
@@ -100,16 +101,24 @@ def _reduce(n: int, buf: list) -> list:
 # canonicalization: reduce a residue vector to its minimal conductor
 
 
-def _accumulate(n: int, terms) -> list[Fraction]:
+def _accumulate_integers(n: int, terms) -> tuple[int, list[int]]:
     """The conductor-n residue vector of the sum of c * zeta_n^k over the
-    (k, c) in terms, c rational: the numerators over a common denominator
-    are scattered over the exponents mod n and reduced in integers."""
+    (k, c) in terms, c rational, as (den, ints) with the vector ints / den:
+    the numerators over a common denominator are scattered over the
+    exponents mod n and reduced in integers."""
     terms = [(k, c) for k, c in terms if c]
     den = math.lcm(*(c.denominator for _, c in terms))
     buf = [0] * n
     for k, c in terms:
         buf[k % n] += c.numerator * (den // c.denominator)
-    return [Fraction(x, den) for x in _reduce(n, buf)]
+    return den, _reduce(n, buf)
+
+
+def _accumulate(n: int, terms) -> list[Fraction]:
+    """The conductor-n residue vector of the sum of c * zeta_n^k over the
+    (k, c) in terms, c rational."""
+    den, buf = _accumulate_integers(n, terms)
+    return [Fraction(x, den) for x in buf]
 
 
 def _substitute(n: int, vec, s: int) -> list[Fraction]:
@@ -215,10 +224,10 @@ class Cyclotomic:
             return Cyclotomic.rational(x)
         return None
 
-    def _lift(self, L: int) -> list[Fraction]:
-        if self.conductor == L:
-            return list(self.coeffs)
-        return _substitute(L, self.coeffs, L // self.conductor)
+    def _integer_lift(self, L: int) -> tuple[int, list[int]]:
+        """(den, ints) with the value's vector at conductor L equal to ints / den."""
+        s = L // self.conductor
+        return _accumulate_integers(L, ((j * s, c) for j, c in enumerate(self.coeffs)))
 
     def __add__(self, other) -> "Cyclotomic":
         o = self._coerce(other)
@@ -235,8 +244,10 @@ class Cyclotomic:
         if self.conductor == 1:
             return o + self
         L = math.lcm(self.conductor, o.conductor)
-        va, vb = self._lift(L), o._lift(L)
-        n, tup = _canonical(L, [a + b for a, b in zip(va, vb)])
+        da, va = self._integer_lift(L)
+        db, vb = o._integer_lift(L)
+        den = da * db
+        n, tup = _canonical(L, [Fraction(a * db + b * da, den) for a, b in zip(va, vb)])
         return Cyclotomic._trusted(n, tup)
 
     __radd__ = __add__
@@ -268,14 +279,16 @@ class Cyclotomic:
         if self.conductor == 1:
             return o * self
         L = math.lcm(self.conductor, o.conductor)
-        va, vb = self._lift(L), o._lift(L)
-        conv = [Fraction(0)] * (2 * len(va) - 1)
+        da, va = self._integer_lift(L)
+        db, vb = o._integer_lift(L)
+        nonzero = [(j, b) for j, b in enumerate(vb) if b]
+        conv = [0] * (2 * len(va) - 1)
         for i, a in enumerate(va):
             if a:
-                for j, b in enumerate(vb):
-                    if b:
-                        conv[i + j] += a * b
-        n, tup = _canonical(L, _reduce(L, conv))
+                for j, b in nonzero:
+                    conv[i + j] += a * b
+        den = da * db
+        n, tup = _canonical(L, [Fraction(x, den) for x in _reduce(L, conv)])
         return Cyclotomic._trusted(n, tup)
 
     __rmul__ = __mul__

@@ -31,6 +31,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _str
 from typing import Callable, Iterable, Sequence
 
 from ._nt import divisors
@@ -498,7 +499,29 @@ class IndicatorReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)
+        """``json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)``,
+        byte for byte, filled into fixed templates without building the dict
+        (an indent sends ``json`` to its pure-Python encoder)."""
+        classes = [
+            _CLASS % (c["index"], _str(c["rep"]), c["size"], c["order"]) for c in self.classes
+        ]
+        simples = [
+            _SIMPLE
+            % (
+                s.g_class,
+                s.eta_index,
+                s.eta_degree,
+                _array([_entry_json(e) for e in s.indicators], " " * 8),
+            )
+            for s in self.simples
+        ]
+        return _REPORT % (
+            _str(self.group),
+            self.order,
+            self.exponent,
+            _array(classes, " " * 4),
+            _array(simples, " " * 4),
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -528,6 +551,75 @@ class IndicatorReport:
             if s.g_class == g_class and s.eta_index == eta_index:
                 return {e.m: e.value for e in s.indicators}
         raise KeyError((g_class, eta_index))
+
+
+# the layout json.dumps(indent=2) gives a report, one template line per output
+# line; _array adds the brackets and item indents of each list but coeffs,
+# which is never empty
+_REPORT = (
+    '{\n'
+    '  "group": %s,\n'
+    '  "order": %d,\n'
+    '  "exponent": %d,\n'
+    '  "classes": %s,\n'
+    '  "simples": %s\n'
+    '}'
+)
+_CLASS = (
+    '{\n'
+    '      "index": %d,\n'
+    '      "rep": %s,\n'
+    '      "size": %d,\n'
+    '      "order": %d\n'
+    '    }'
+)
+_SIMPLE = (
+    '{\n'
+    '      "g_class": %d,\n'
+    '      "eta_index": %d,\n'
+    '      "eta_degree": %d,\n'
+    '      "indicators": %s\n'
+    '    }'
+)
+_ENTRY = (
+    '{\n'
+    '          "m": %d,\n'
+    '          "value": {\n'
+    '            "conductor": %d,\n'
+    '            "coeffs": [\n'
+    '              %s\n'
+    '            ]\n'
+    '          },\n'
+    '          "rational": %s,\n'
+    '          "pretty": %s,\n'
+    '          "approx": %s\n'
+    '        }'
+)
+_COEFF_SEP = ",\n" + " " * 14
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items, each on its own line at the indent."""
+    if not items:
+        return "[]"
+    return "[\n" + indent + (",\n" + indent).join(items) + "\n" + indent[:-2] + "]"
+
+
+def _entry_json(e: IndicatorEntry) -> str:
+    value = e.value
+    approx = e.approx
+    if isinstance(approx, complex):
+        approx_text = _array([float.__repr__(approx.real), float.__repr__(approx.imag)], " " * 12)
+    else:
+        approx_text = float.__repr__(approx)
+    return _ENTRY % (
+        e.m,
+        value.conductor,
+        _COEFF_SEP.join([_str(str(c)) for c in value.coeffs]),
+        "true" if e.rational else "false",
+        _str(e.pretty),
+        approx_text,
+    )
 
 
 def checked_ms(session: Session, ms: Iterable[int] | None) -> list[int]:

@@ -57,6 +57,14 @@ def test_indicators_bad_m(capsys):
     assert "error" in err
 
 
+def test_empty_m_list_is_an_error(capsys):
+    for verb in ("indicators", "bench"):
+        for text in (",", ""):
+            code, out, err = run(capsys, verb, "--group", "S3", "--m", text)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_gamma_output(capsys):
     code, out, _ = run(capsys, "gamma", "--group", "S3", "--z-class", "0", "--m", "2")
     assert code == 0

@@ -19,6 +19,7 @@ from fszd import (
     sqrt_cyclotomic,
 )
 from fszd._nt import prime_factors
+from fszd.cyclotomic import _canonical, _reduce, _substitute
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 36]
 
@@ -182,6 +183,25 @@ def test_canonical_form_is_independent_of_construction(n, terms, k):
 def test_commutativity(a, b):
     assert a + b == b + a
     assert a * b == b * a
+
+
+def fraction_product(a, b):
+    """a * b as the Fraction convolution computes it, kept as the reference
+    for the integer-numerator convolution of ``Cyclotomic.__mul__``."""
+    L = math.lcm(a.conductor, b.conductor)
+    va, vb = (_substitute(L, v.coeffs, L // v.conductor) for v in (a, b))
+    conv = [Fraction(0)] * (2 * len(va) - 1)
+    for i, x in enumerate(va):
+        for j, y in enumerate(vb):
+            conv[i + j] += x * y
+    return _canonical(L, _reduce(L, conv))
+
+
+@given(cyclotomics(), cyclotomics())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_product_matches_fraction_convolution(a, b):
+    product = a * b
+    assert (product.conductor, product.coeffs) == fraction_product(a, b)
 
 
 @given(cyclotomics(), cyclotomics(), cyclotomics())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from fszd import (
     BadDivisorError,
     Cyclotomic,
+    IndicatorReport,
     InvariantError,
     NonCommutingPairError,
     Permutation,
@@ -22,6 +24,7 @@ from fszd import (
     conjugator,
     construct_group,
     double_character,
+    from_root,
     fsz_test,
     gamma,
     gmz_count_naive,
@@ -29,10 +32,13 @@ from fszd import (
     mu,
     nu,
     phi,
+    rationality,
     reduce_gamma_params,
     restricted_normalizer,
+    sqrt_cyclotomic,
     w_class_function,
 )
+from fszd.indicators import IndicatorEntry, SimpleIndicators
 
 import fszd.chartab
 import fszd.indicators
@@ -762,6 +768,78 @@ def test_report_determinism():
     a = all_indicators(Session(construct_group("S4")))
     b = all_indicators(Session(construct_group("S4")))
     assert a.to_json() == b.to_json()
+
+
+def reference_json(report):
+    return json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2)
+
+
+def test_report_json_matches_reference_encoder():
+    for spec in ACCEPTANCE_SPECS + ("Q8xC3",):
+        report = all_indicators(get_session(spec))
+        assert report.to_json() == reference_json(report), spec
+    empty = all_indicators(get_session("S3"), [])
+    assert all(s.indicators == () for s in empty.simples)
+    assert empty.to_json() == reference_json(empty)
+
+
+def test_report_json_irrational_entries_and_escaped_name():
+    # no corpus group has an irrational indicator, so the entries are made up:
+    # complex approx lists (one with -0.0), non-ASCII pretty strings, Fraction
+    # coefficients, and a group name json has to escape
+    values = [
+        from_root(1, 5),
+        sqrt_cyclotomic(5),
+        (1 + sqrt_cyclotomic(5)) / 2,
+        from_root(1, 4),
+        from_root(3, 4),
+        Cyclotomic.rational(Fraction(-3, 4)),
+    ]
+    entries = []
+    for m, v in enumerate(values, 1):
+        info = rationality(v)
+        entries.append(IndicatorEntry(m, v, info.is_rational, info.pretty, info.approx))
+    assert "√5" in entries[1].pretty and "ζ5" in entries[0].pretty
+    assert str(entries[4].approx.real) == "-0.0"
+    G = construct_group("S3")
+    G.name = 'S3 "tab\there" \\ ζ3'
+    simples = [
+        SimpleIndicators(0, 0, 1, tuple(entries)),
+        SimpleIndicators(1, 2, 3, ()),
+        SimpleIndicators(2, 1, 1, tuple(entries[::-1])),
+    ]
+    report = IndicatorReport(Session(G), range(1, len(values) + 1), simples)
+    text = report.to_json()
+    assert text == reference_json(report)
+    assert json.loads(text)["group"] == G.name
+
+
+# sha256 of to_json() and to_csv() of full reports, as written before the
+# templated JSON writer (by json.dumps with indent=2)
+PINNED_REPORT_DIGESTS = {
+    "S4": (
+        "65e87b2c4c51a039841df1c4ebf3754e8ab973e882c3fa780f18d265c91776f7",
+        "722825153c3cbbca71ecf26d35a33e58068ec1a30d17b7a4b9c0e8bac4a73569",
+    ),
+    "Q8xC3": (
+        "a00c9510aa3fa9504c7ec46eb4247327e7f17e43698620f3603439a541056434",
+        "29a963b2e966da3200ea8fad8ccd742410b585ed079f384ec3f6702995d3c313",
+    ),
+    SL23_SPEC: (
+        "cf458cd6430bc75f55670dadf285edc2eaa0c00250e43484b093366a76132e7c",
+        "42e4267a624a17a7e67f79175edb957be0d7b69cf9c80953fc09c135bf85bbef",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_REPORT_DIGESTS))
+def test_report_bytes_pinned(spec):
+    report = all_indicators(get_session(spec))
+    digests = tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (report.to_json(), report.to_csv())
+    )
+    assert digests == PINNED_REPORT_DIGESTS[spec]
 
 
 def test_report_m_validation():
