@@ -11,11 +11,10 @@ eigenvalues in ascending order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from ._nt import divisors, is_prime, modinv, primitive_root, tonelli_sqrt
-from .cyclotomic import Cyclotomic, ZERO, from_root_combination
+from .cyclotomic import Cyclotomic, ZERO, _canonical, _reduce, from_root_combination
 from .errors import (
     MismatchedTablesError,
     ResourceLimitError,
@@ -91,32 +90,30 @@ class ClassFunction:
 
 
 def _integer_forms(values: Sequence[Cyclotomic]) -> tuple[int, tuple]:
-    """(D, forms) with D the lcm of every coefficient denominator and one
-    form per value v: the int D*v when v is rational, else
-    (conductor, ((j, c), ...)) with D*v = sum of c * zeta^j over the
-    nonzero power-basis coefficients."""
-    den = math.lcm(*(c.denominator for v in values for c in v.coeffs))
+    """(D, forms) with D the lcm of the values' denominators and one form per
+    value v: the int D*v when v is rational, else (conductor, ((j, c), ...))
+    with D*v = sum of c * zeta^j over the nonzero power-basis numerators."""
+    den = math.lcm(*(v.den for v in values))
     forms = []
     for v in values:
-        scaled = [c.numerator * (den // c.denominator) for c in v.coeffs]
+        s = den // v.den
         if v.conductor == 1:
-            forms.append(scaled[0])
+            forms.append(v.nums[0] * s)
         else:
-            forms.append((v.conductor, tuple((j, c) for j, c in enumerate(scaled) if c)))
+            forms.append((v.conductor, tuple((j, c * s) for j, c in enumerate(v.nums) if c)))
     return den, tuple(forms)
 
 
 def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
     """(1/den) * sum of w * a * b over (int w, integer form a, integer form b)
-    triples, with conj(b) in place of b when conj is set; exact.
+    triples, with conj(b) in place of b when conj is set; exact, in integers.
 
     Rational products add up as plain ints.  A product with an irrational
     factor is a sum of powers of zeta_L, L the lcm of the conductors, and
     conj(zeta^j) = zeta^-j; its terms go unreduced into one exponent buffer
-    per L.  The buffers are lifted into one at the lcm of their conductors,
-    which ``from_root_combination`` reduces once modulo the cyclotomic
-    polynomial, and the result is divided by den coefficientwise, which
-    keeps it canonical.
+    per L.  The buffers and the rational part are lifted into one at the lcm
+    of their conductors, reduced once modulo the cyclotomic polynomial and
+    put in canonical form over den.
     """
     sign = -1 if conj else 1
     rat = 0
@@ -142,8 +139,6 @@ def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
             x *= w
             for j, y in tb:
                 buf[(i + sign * j) % L] += x * y
-    if not bufs:
-        return Cyclotomic.rational(Fraction(rat, den))
     n = math.lcm(*bufs)
     total = [0] * n
     total[0] = rat
@@ -152,15 +147,12 @@ def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
         for j, c in enumerate(buf):
             if c:
                 total[j * step] += c
-    v = from_root_combination(n, dict(enumerate(total)))
-    if den == 1:
-        return v
-    return Cyclotomic._trusted(v.conductor, tuple(c / den for c in v.coeffs))
+    return _canonical(n, den, _reduce(n, total))
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     """(1/|G|) sum over classes of |class| * f * conj(g), exact, through
-    ``_dot`` on the integer forms of f and g."""
+    ``_dot`` on the integer forms of f and g: no Fraction is built."""
     f._check_same(g)
     df, fv = f._integer_form()
     dg, gv = g._integer_form()
@@ -400,11 +392,6 @@ def character_table(G: Group, order_limit: int | None = None) -> CharacterTable:
     cs = G.conjugacy_classes()
     k = len(cs)
     e = cs.exponent
-    if k == 1:
-        table = CharacterTable(G, cs, [ClassFunction(cs, [1])])
-        G._chartab = table
-        return table
-
     p = _choose_prime(e, n)
     w = pow(primitive_root(p), (p - 1) // e, p)
 
@@ -510,7 +497,7 @@ def verify_class_algebra(table: CharacterTable) -> None:
     mats = [_class_matrix(cs, i) for i in range(k)]
     for cf in table.irreducibles:
         d = cf.degree()
-        omega = [cf.values[j] * sizes[j] / d.rational_value() for j in range(k)]
+        omega = [cf.values[j] * sizes[j] / d for j in range(k)]
         for i in range(1, k):
             mat = mats[i]
             for j in range(k):

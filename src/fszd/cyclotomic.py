@@ -1,27 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A value is a residue polynomial in zeta_N modulo the N-th cyclotomic
-polynomial, with Fraction coefficients, always reduced to its minimal
-conductor (never 2 mod 4).  Equality and hashing are therefore structural,
-and a value is rational exactly when its residue is constant.
+polynomial, stored as integer numerators over one positive denominator in
+lowest terms, always reduced to its minimal conductor (never 2 mod 4).
+Equality and hashing are therefore structural, and a value is rational
+exactly when its residue is constant.
 
 The minimal conductor is reached one prime at a time.  For p | N and
 d = N/p, the mean over Gal(Q(zeta_N)/Q(zeta_d)) has a closed form.  When
-p^2 | N it keeps the terms zeta_N^k with p | k, so it is the coefficient
-vector vec[::p] at conductor d.  When p || N, write
-zeta_N^k = zeta_d^(uk) zeta_p^(vk) with up + vd = 1; the term c_k zeta_N^k
-goes to zeta_d^(uk) with weight c_k if p | k and -c_k/(p-1) otherwise.  The
-value lies in Q(zeta_d) exactly when this mean, lifted back to conductor N,
-reproduces its coefficients, so the descent is checked exactly.  Lifting,
+p^2 | N it keeps the terms zeta_N^k with p | k, so it is the numerator
+vector nums[::p] at conductor d.  When p || N, write
+zeta_N^k = zeta_d^(uk) zeta_p^(vk) with up + vd = 1; (p-1) times the mean
+sends the term c_k zeta_N^k to zeta_d^(uk) with weight (p-1) c_k if p | k
+and -c_k otherwise, and the denominator takes the factor p-1.  The value
+lies in Q(zeta_d) exactly when this mean, lifted back to conductor N,
+reproduces its numerators, so the descent is checked exactly.  Lifting,
 Galois maps, products and the descent all reduce modulo Phi_N one way: a
 long division by the monic Phi_N that reads only its nonzero lower terms.
 
 Galois maps sigma_r act by zeta_N -> zeta_N^r; complex conjugation is
-sigma_{-1}.  Sums and products work on the integer numerators of both
-operands over their common denominators and divide once.  The printer
-recognizes rationals and real quadratic irrationalities (one Galois
-conjugate splits off the square root, whose sign an exact Gauss sum fixes),
-and falls back to an explicit zeta-polynomial otherwise.
+sigma_{-1}.  Sums, products, Galois maps and the descent run on integer
+numerators only; Fraction appears only where values enter or leave: the
+constructor, ``coeffs`` and ``rational_value``.  The printer recognizes
+rationals and real quadratic irrationalities (one Galois conjugate splits
+off the square root, whose sign an exact Gauss sum fixes), and falls back
+to an explicit zeta-polynomial otherwise.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from ._nt import euler_phi, legendre, prime_factors, squarefree_part
 from .errors import InvariantError, NotCoprimeError
@@ -101,64 +104,62 @@ def _reduce(n: int, buf: list) -> list:
 # canonicalization: reduce a residue vector to its minimal conductor
 
 
-def _accumulate_integers(n: int, terms) -> tuple[int, list[int]]:
+def _accumulate_integers(n: int, terms) -> list[int]:
     """The conductor-n residue vector of the sum of c * zeta_n^k over the
-    (k, c) in terms, c rational, as (den, ints) with the vector ints / den:
-    the numerators over a common denominator are scattered over the
-    exponents mod n and reduced in integers."""
-    terms = [(k, c) for k, c in terms if c]
-    den = math.lcm(*(c.denominator for _, c in terms))
+    (k, c) in terms, c an integer: the terms are scattered over the
+    exponents mod n and reduced."""
     buf = [0] * n
     for k, c in terms:
-        buf[k % n] += c.numerator * (den // c.denominator)
-    return den, _reduce(n, buf)
+        buf[k % n] += c
+    return _reduce(n, buf)
 
 
-def _accumulate(n: int, terms) -> list[Fraction]:
-    """The conductor-n residue vector of the sum of c * zeta_n^k over the
-    (k, c) in terms, c rational."""
-    den, buf = _accumulate_integers(n, terms)
-    return [Fraction(x, den) for x in buf]
-
-
-def _substitute(n: int, vec, s: int) -> list[Fraction]:
-    """sum of vec[j] * zeta_n^(j*s) at conductor n: a Galois map when s is a
+def _substitute(n: int, nums, s: int) -> list[int]:
+    """sum of nums[j] * zeta_n^(j*s) at conductor n: a Galois map when s is a
     unit mod n, a lift from conductor n/s when s divides n."""
-    return _accumulate(n, ((j * s, c) for j, c in enumerate(vec)))
+    return _accumulate_integers(n, ((j * s, c) for j, c in enumerate(nums) if c))
 
 
-def _descend(n: int, p: int, vec: list[Fraction]) -> list[Fraction] | None:
-    """The value at conductor d = n/p when it lies in Q(zeta_d), else None.
+def _descend(n: int, p: int, nums: list[int]) -> tuple[int, list[int]] | None:
+    """(s, s times the numerators at conductor d = n/p) when the value lies
+    in Q(zeta_d), else None.
 
     The mean over Gal(Q(zeta_n)/Q(zeta_d)) is the identity on Q(zeta_d), so
     the value descends exactly when the mean, lifted back to conductor n,
-    reproduces vec.
+    reproduces it.
     """
     d = n // p
     if d % p == 0:
         # the group is sigma_{1+jd} for j < p, sending zeta_n^k to
         # zeta_n^k zeta_p^(jk); so the mean keeps the terms with p | k, which
-        # is vec[::p], and its lift is vec exactly when no other term is left
-        return None if any(c for k, c in enumerate(vec) if k % p) else vec[::p]
+        # is nums[::p], and its lift is nums exactly when no other term is left
+        return None if any(c for k, c in enumerate(nums) if k % p) else (1, nums[::p])
     # p || n: zeta_n^k = zeta_d^(uk) zeta_p^(vk) with up + vd = 1, and the mean
-    # of zeta_p^(vk) over Gal(Q(zeta_p)/Q) is 1 if p | k and -1/(p-1) otherwise
+    # of zeta_p^(vk) over Gal(Q(zeta_p)/Q) is 1 if p | k and -1/(p-1) otherwise,
+    # so p-1 times the mean has integer numerators
     u = pow(p, -1, d)
-    w = Fraction(-1, p - 1)
-    mean = _accumulate(d, ((u * k, c if k % p == 0 else c * w) for k, c in enumerate(vec)))
-    return mean if _substitute(n, mean, p) == vec else None
+    s = p - 1
+    mean = _accumulate_integers(
+        d, ((u * k, c * s if k % p == 0 else -c) for k, c in enumerate(nums) if c)
+    )
+    return (s, mean) if _substitute(n, mean, p) == [c * s for c in nums] else None
 
 
-def _canonical(n: int, vec: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    while any(vec[1:]):
+def _canonical(n: int, den: int, nums: list[int]) -> "Cyclotomic":
+    """The value nums / den, a residue vector at conductor n, in canonical
+    form: descended one prime at a time, then in lowest terms."""
+    while any(nums[1:]):
         for p in prime_factors(n):
             # d = 1 would mean rational, which the loop condition excludes
-            down = _descend(n, p, vec) if p < n else None
+            down = _descend(n, p, nums) if p < n else None
             if down is not None:
-                n, vec = n // p, down
+                s, nums = down
+                n //= p
+                den *= s
                 break
         else:
-            return n, tuple(vec)
-    return 1, (vec[0],)
+            return Cyclotomic._normal(n, den, nums)
+    return Cyclotomic._normal(1, den, nums[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -166,45 +167,66 @@ def _canonical(n: int, vec: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
 
 
 class Cyclotomic:
-    """An exact element of a cyclotomic field, in canonical form."""
+    """An exact element of a cyclotomic field, in canonical form: the sum of
+    nums[j] / den * zeta^j over the phi(conductor) power-basis numerators,
+    with den > 0 and gcd(den, *nums) == 1 (zero is conductor 1, den 1)."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "den", "nums")
 
     def __init__(self, conductor: int, coeffs):
         vec = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if len(vec) != euler_phi(conductor):
             raise ValueError("coefficient vector has wrong length")
-        n, tup = _canonical(conductor, vec)
-        self.conductor = n
-        self.coeffs = tup
+        v = from_root_combination(conductor, dict(enumerate(vec)))
+        self.conductor, self.den, self.nums = v.conductor, v.den, v.nums
 
     @classmethod
-    def _trusted(cls, conductor: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+    def _normal(cls, conductor: int, den: int, nums) -> "Cyclotomic":
+        """nums / den at its minimal conductor, put in lowest terms with a
+        positive denominator."""
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
         v = object.__new__(cls)
-        v.conductor = conductor
-        v.coeffs = coeffs
+        v.conductor, v.den, v.nums = conductor, den, tuple(nums)
         return v
 
     @classmethod
     def rational(cls, q: Rational) -> "Cyclotomic":
-        return cls._trusted(1, (Fraction(q),))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return cls._normal(1, q.denominator, (q.numerator,))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients nums[j] / den."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def coeff_texts(self) -> list[str]:
+        """``str`` of each of ``coeffs``, without building the Fractions."""
+        den = self.den
+        out = []
+        for c in self.nums:
+            g = math.gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 0
+        return self.conductor == 1 and self.nums[0] == 0
 
     def is_rational(self) -> bool:
         return self.conductor == 1
 
     def rational_value(self) -> Fraction | None:
-        return self.coeffs[0] if self.conductor == 1 else None
+        return Fraction(self.nums[0], self.den) if self.conductor == 1 else None
 
     def as_integer(self) -> int:
-        q = self.rational_value()
-        if q is None or q.denominator != 1:
+        if self.conductor != 1 or self.den != 1:
             raise ValueError(f"{self!r} is not an integer")
-        return q.numerator
+        return self.nums[0]
 
     def is_real(self) -> bool:
         return self.conductor == 1 or self.galois(-1) == self
@@ -224,36 +246,34 @@ class Cyclotomic:
             return Cyclotomic.rational(x)
         return None
 
-    def _integer_lift(self, L: int) -> tuple[int, list[int]]:
-        """(den, ints) with the value's vector at conductor L equal to ints / den."""
-        s = L // self.conductor
-        return _accumulate_integers(L, ((j * s, c) for j, c in enumerate(self.coeffs)))
+    def _at(self, L: int) -> Sequence[int]:
+        """The numerators at conductor L, a multiple of the conductor."""
+        n = self.conductor
+        return self.nums if L == n else _substitute(L, self.nums, L // n)
+
+    def _scaled(self, a: int, b: int) -> "Cyclotomic":
+        """The value times a / b, for nonzero integers a and b."""
+        return Cyclotomic._normal(self.conductor, self.den * b, [c * a for c in self.nums])
 
     def __add__(self, other) -> "Cyclotomic":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.conductor == 1:
-            if o.coeffs[0] == 0:
-                return self
-            vec = list(self.coeffs)
-            vec[0] += o.coeffs[0]
-            if self.conductor == 1:
-                return Cyclotomic._trusted(1, (vec[0],))
-            return Cyclotomic._trusted(self.conductor, tuple(vec))
-        if self.conductor == 1:
-            return o + self
-        L = math.lcm(self.conductor, o.conductor)
-        da, va = self._integer_lift(L)
-        db, vb = o._integer_lift(L)
-        den = da * db
-        n, tup = _canonical(L, [Fraction(a * db + b * da, den) for a, b in zip(va, vb)])
-        return Cyclotomic._trusted(n, tup)
+        a, b = (self, o) if self.conductor >= o.conductor else (o, self)
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        if b.conductor == 1:
+            # adding a rational keeps the conductor
+            nums = [c * sa for c in a.nums]
+            nums[0] += b.nums[0] * sb
+            return Cyclotomic._normal(a.conductor, den, nums)
+        L = math.lcm(a.conductor, b.conductor)
+        return _canonical(L, den, [x * sa + y * sb for x, y in zip(a._at(L), b._at(L))])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic._trusted(self.conductor, tuple(-c for c in self.coeffs))
+        return Cyclotomic._normal(self.conductor, self.den, [-c for c in self.nums])
 
     def __sub__(self, other) -> "Cyclotomic":
         o = self._coerce(other)
@@ -272,24 +292,18 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         if o.conductor == 1:
-            q = o.coeffs[0]
-            if q == 0:
-                return ZERO
-            return Cyclotomic._trusted(self.conductor, tuple(c * q for c in self.coeffs))
+            return self._scaled(o.nums[0], o.den) if o.nums[0] else ZERO
         if self.conductor == 1:
             return o * self
         L = math.lcm(self.conductor, o.conductor)
-        da, va = self._integer_lift(L)
-        db, vb = o._integer_lift(L)
+        va, vb = self._at(L), o._at(L)
         nonzero = [(j, b) for j, b in enumerate(vb) if b]
         conv = [0] * (2 * len(va) - 1)
         for i, a in enumerate(va):
             if a:
                 for j, b in nonzero:
                     conv[i + j] += a * b
-        den = da * db
-        n, tup = _canonical(L, [Fraction(x, den) for x in _reduce(L, conv)])
-        return Cyclotomic._trusted(n, tup)
+        return _canonical(L, self.den * o.den, _reduce(L, conv))
 
     __rmul__ = __mul__
 
@@ -297,10 +311,11 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        q = o.rational_value()
-        if q is None:
+        if o.conductor != 1:
             raise TypeError("division is only supported by rational values")
-        return self * (Fraction(1) / q)
+        if o.nums[0] == 0:
+            raise ZeroDivisionError("division by zero")
+        return self._scaled(o.den, o.nums[0])
 
     def __pow__(self, k: int) -> "Cyclotomic":
         if not isinstance(k, int) or k < 0:
@@ -326,8 +341,7 @@ class Cyclotomic:
             raise NotCoprimeError(f"sigma_{r} undefined at conductor {n}")
         if r == 1:
             return self
-        out = _substitute(n, self.coeffs, r)
-        return Cyclotomic._trusted(n, tuple(out))
+        return Cyclotomic._normal(n, self.den, _substitute(n, self.nums, r))
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(-1)
@@ -338,12 +352,12 @@ class Cyclotomic:
     # -- output --------------------------------------------------------------
 
     def approx(self) -> complex:
-        n = self.conductor
+        n, den = self.conductor, self.den
         if n == 1:
-            return complex(self.coeffs[0])
+            return complex(self.nums[0] / den)
         return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * j / n)
-            for j, c in enumerate(self.coeffs)
+            complex(c / den) * cmath.exp(2j * cmath.pi * j / n)
+            for j, c in enumerate(self.nums)
             if c
         )
 
@@ -354,41 +368,42 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.conductor == o.conductor and self.coeffs == o.coeffs
+        return self.conductor == o.conductor and self.den == o.den and self.nums == o.nums
 
     def __hash__(self) -> int:
         if self.conductor == 1:
-            return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+            return hash(self.rational_value())
+        return hash((self.conductor, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"Cyclotomic[{pretty(self)}]"
 
     def to_json_dict(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
+        return {"conductor": self.conductor, "coeffs": self.coeff_texts()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cyclotomic":
         return cls(int(data["conductor"]), [Fraction(s) for s in data["coeffs"]])
 
 
-ZERO = Cyclotomic._trusted(1, (Fraction(0),))
-ONE = Cyclotomic._trusted(1, (Fraction(1),))
+ZERO = Cyclotomic._normal(1, 1, (0,))
+ONE = Cyclotomic._normal(1, 1, (1,))
 
 
 def from_root(k: int, n: int) -> Cyclotomic:
     """zeta_n^k in canonical form."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    return Cyclotomic(n, _accumulate(n, ((k, 1),)))
+    return _canonical(n, 1, _accumulate_integers(n, ((k, 1),)))
 
 
 def from_root_combination(n: int, coeff_by_exponent: dict[int, Rational]) -> Cyclotomic:
     """sum of c_k * zeta_n^k for the given exponent -> coefficient mapping."""
-    return Cyclotomic(n, _accumulate(n, coeff_by_exponent.items()))
+    terms = [(k, c) for k, c in coeff_by_exponent.items() if c]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return _canonical(
+        n, den, _accumulate_integers(n, ((k, c.numerator * (den // c.denominator)) for k, c in terms))
+    )
 
 
 def galois(v: Cyclotomic, r: int) -> Cyclotomic:
@@ -479,9 +494,8 @@ def _format_polynomial(v: Cyclotomic) -> str:
 
 
 def pretty(v: Cyclotomic) -> str:
-    q = v.rational_value()
-    if q is not None:
-        return str(q)
+    if v.conductor == 1:
+        return v.coeff_texts()[0]
     quad = _try_quadratic(v)
     if quad is not None:
         return _format_quadratic(*quad)

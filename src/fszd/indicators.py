@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _str
@@ -293,7 +292,7 @@ def beta(session: Session, z_class: int, m: int, chi_index: int) -> Cyclotomic:
     """|phi|^2 / (|C_G(z)| * chi(e)): the coefficient of chi in gamma_m^z."""
     table = session.centralizer_table(z_class)
     ph = phi(session, z_class, m, chi_index)
-    deg = table.irreducibles[chi_index].degree().rational_value()
+    deg = table.irreducibles[chi_index].degree().as_integer()
     return ph.abs_squared() / (session.centralizer_order(z_class) * deg)
 
 
@@ -538,7 +537,7 @@ class IndicatorReport:
                         s.eta_index,
                         s.eta_degree,
                         e.m,
-                        json.dumps(e.value.to_json_dict()),
+                        _CSV_VALUE % (e.value.conductor, '", "'.join(e.value.coeff_texts())),
                         e.rational,
                         e.pretty,
                         e.approx,
@@ -587,7 +586,7 @@ _ENTRY = (
     '          "value": {\n'
     '            "conductor": %d,\n'
     '            "coeffs": [\n'
-    '              %s\n'
+    '              "%s"\n'
     '            ]\n'
     '          },\n'
     '          "rational": %s,\n'
@@ -595,7 +594,11 @@ _ENTRY = (
     '          "approx": %s\n'
     '        }'
 )
-_COEFF_SEP = ",\n" + " " * 14
+# coefficient texts need no JSON escapes, so the separators of a coeffs list
+# close one string and open the next
+_COEFF_SEP = '",\n' + " " * 14 + '"'
+# json.dumps(value.to_json_dict()), the CSV value cell
+_CSV_VALUE = '{"conductor": %d, "coeffs": ["%s"]}'
 
 
 def _array(items: list[str], indent: str) -> str:
@@ -615,7 +618,7 @@ def _entry_json(e: IndicatorEntry) -> str:
     return _ENTRY % (
         e.m,
         value.conductor,
-        _COEFF_SEP.join([_str(str(c)) for c in value.coeffs]),
+        _COEFF_SEP.join(value.coeff_texts()),
         "true" if e.rational else "false",
         _str(e.pretty),
         approx_text,

@@ -611,30 +611,22 @@ def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation
 
 
 def rational_classes(G: Group) -> tuple[tuple[int, ...], ...]:
-    """Partition of class indices into rational classes (Galois fusion)."""
+    """Partition of class indices into rational classes (Galois fusion).
+
+    The cell of class c is {class of rep(c)**r : gcd(r, o(c)) = 1}, which is
+    closed under the same map, as its members are conjugate to such powers.
+    """
     cs = G.conjugacy_classes()
-    k = len(cs)
-    assigned = [False] * k
+    assigned = [False] * len(cs)
     cells = []
-    for i in range(k):
+    for i, cl in enumerate(cs.classes):
         if assigned[i]:
             continue
-        cell: set[int] = set()
-        stack = [i]
-        while stack:
-            c = stack.pop()
-            if c in cell:
-                continue
-            cell.add(c)
-            o = cs.classes[c].order
-            for r in range(1, o + 1):
-                if math.gcd(r, o) == 1:
-                    j = cs.power_map(r)[c]
-                    if j not in cell:
-                        stack.append(j)
+        o = cl.order
+        cell = sorted({cs.power_map(r)[i] for r in range(1, o + 1) if math.gcd(r, o) == 1})
         for c in cell:
             assigned[c] = True
-        cells.append(tuple(sorted(cell)))
+        cells.append(tuple(cell))
     return tuple(cells)
 
 

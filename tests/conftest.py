@@ -1,10 +1,14 @@
 """Shared fixtures: groups and indicator sessions are cached per test run."""
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
 from fszd import ClassFunction, Group, Permutation, Session, construct_group
+from fszd._nt import euler_phi
 
 # SL(2,3) acting on the eight nonzero vectors of F_3^2
 SL23_SPEC = "perm:(1,4,7)(2,8,5);(1,6,2,3)(4,7,8,5)"
@@ -47,6 +51,19 @@ def group():
 @pytest.fixture(scope="session")
 def session_for():
     return get_session
+
+
+def is_normal_form(v) -> bool:
+    """Whether a Cyclotomic is stored as phi(conductor) integer numerators
+    over one positive denominator in lowest terms, matching its coeffs."""
+    return (
+        type(v.den) is int
+        and v.den > 0
+        and all(type(c) is int for c in v.nums)
+        and math.gcd(v.den, *v.nums) == 1
+        and len(v.nums) == euler_phi(v.conductor)
+        and v.coeffs == tuple(Fraction(c, v.den) for c in v.nums)
+    )
 
 
 @st.composite

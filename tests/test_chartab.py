@@ -28,7 +28,7 @@ from fszd import (
 from fszd.errors import InvariantError
 from fszd.indicators import _character_sums
 
-from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group
+from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, is_normal_form
 
 
 def test_degree_multisets():
@@ -185,9 +185,15 @@ def test_adams_permutes_irreducibles():
 
 
 def test_trivial_group_table():
-    table = character_table(construct_group("C1"))
-    assert table.degrees == (1,)
-    assert len(table.classes) == 1
+    # built by the general Dixon-Schneider path, self-check included
+    for spec in ("C1", "S1"):
+        table = character_table(construct_group(spec))
+        assert table.degrees == (1,)
+        assert len(table.classes) == 1
+        assert table.irreducibles[0].values == (Cyclotomic.rational(1),)
+        assert table.trivial_index() == 0
+        verify_class_algebra(table)
+        verify_column_orthogonality(table)
 
 
 def test_resource_limit():
@@ -295,11 +301,11 @@ def test_inner_product_matches_cyclotomic_reference(data):
         got = inner_product(a, b)
         want = _reference_inner_product(a, b)
         assert got == want
-        assert (got.conductor, got.coeffs) == Cyclotomic(got.conductor, got.coeffs).sort_key()
+        assert _is_canonical(got)
 
 
 def _is_canonical(v):
-    return (v.conductor, v.coeffs) == Cyclotomic(v.conductor, v.coeffs).sort_key()
+    return is_normal_form(v) and (v.conductor, v.coeffs) == Cyclotomic(v.conductor, v.coeffs).sort_key()
 
 
 def _reference_class_sum(f, weights, den):
@@ -350,6 +356,30 @@ def test_character_sums_reject_a_row_with_a_denominator():
     coeffs = [Cyclotomic.rational(1)] * len(table.classes)
     with pytest.raises(InvariantError, match=r"test: character 1 has denominator 2"):
         _character_sums(coeffs, table, "test")
+
+
+def test_integer_arithmetic_builds_no_fraction(monkeypatch):
+    table = character_table(get_group("C5xC5"))
+    k = len(table.classes)
+    a = from_root(1, 5) * Fraction(2, 3) - from_root(3, 8) * Fraction(5, 4)
+    b = from_root(1, 12) * Fraction(-1, 6) + from_root(2, 5)
+    f = ClassFunction(table.classes, [a, b, Fraction(1, 4)] + [from_root(j, 5) / 3 for j in range(k - 3)])
+    g = table.irreducibles[7]
+    new = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    results = [a + b, a - b, a * b, b * a, a + 2, a * 3, a / 6, a.galois(7), b.galois(-1)]
+    results += [inner_product(f, g), inner_product(g, f), inner_product(f, f)]
+    results += [class_sum(f, {0: 2, 3: -1, 5: 4}, 7), class_sum(g, {c: c for c in range(k)})]
+    monkeypatch.undo()
+    assert built == []
+    assert all(_is_canonical(v) for v in results)
+    assert not results[-5].is_rational() and results[-3].den > 1
 
 
 def test_independent_verifiers_avoid_the_integer_path(monkeypatch):

@@ -19,7 +19,8 @@ from fszd import (
     sqrt_cyclotomic,
 )
 from fszd._nt import prime_factors
-from fszd.cyclotomic import _canonical, _reduce, _substitute
+
+from conftest import is_normal_form
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 36]
 
@@ -103,6 +104,25 @@ def test_rationality_handles_plain_roots():
     assert pretty(-from_root(1, 5) - from_root(1, 5)) == "-2ζ5"
 
 
+def test_zero_and_rational_forms():
+    for zero in (
+        Cyclotomic.rational(0),
+        from_root(1, 5) - from_root(1, 5),
+        from_root(1, 12) * 0,
+        Cyclotomic(8, [0, 0, 0, 0]),
+        from_root_combination(9, {}),
+    ):
+        assert (zero.conductor, zero.den, zero.nums) == (1, 1, (0,))
+        assert zero.is_zero() and zero == 0 and hash(zero) == 0
+    half = from_root(1, 3) / 2 + from_root(2, 3) / 2
+    assert (half.conductor, half.den, half.nums) == (1, 2, (-1,))
+    assert half.rational_value() == Fraction(-1, 2) and half.coeff_texts() == ["-1/2"]
+    v = Cyclotomic(5, [Fraction(2, 6), Fraction(-1, 4), 0, 1])
+    assert (v.den, v.nums) == (12, (4, -3, 0, 12))
+    assert v.coeffs == (Fraction(1, 3), Fraction(-1, 4), 0, 1)
+    assert v.coeff_texts() == ["1/3", "-1/4", "0", "1"]
+
+
 def test_conductor_canonicalization():
     assert from_root(1, 6).conductor == 3  # 2 mod 4 conductor never minimal
     assert (from_root(1, 8) * from_root(1, 8)).conductor == 4
@@ -148,7 +168,7 @@ def test_sqrt_cyclotomic_values():
 
 
 @given(cyclotomics())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 def test_conductor_is_minimal(v):
     # checked with galois alone: for every prime p | c, some sigma_r with
     # r = 1 mod c/p (so fixing Q(zeta_{c/p})) moves v
@@ -166,7 +186,7 @@ def test_conductor_is_minimal(v):
     st.dictionaries(st.integers(0, 71), rationals, min_size=0, max_size=4),
     st.integers(2, 4),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 def test_canonical_form_is_independent_of_construction(n, terms, k):
     # the same roots of unity, written at conductor k*n
     v = from_root_combination(n, terms)
@@ -175,26 +195,55 @@ def test_canonical_form_is_independent_of_construction(n, terms, k):
     assert (w.conductor, w.coeffs, hash(w)) == (v.conductor, v.coeffs, hash(v))
 
 
+# -- the stored form -----------------------------------------------------------
+
+
+@given(cyclotomics(), cyclotomics(), rationals, st.integers(0, 1000))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_results_are_in_normal_form(a, b, q, pick):
+    n = a.conductor
+    units = [r for r in range(1, n + 1) if math.gcd(r, n) == 1]
+    results = [a, b, a + b, a - b, a * b, -a, a + q, q - a, a * q, a.galois(units[pick % len(units)])]
+    if q:
+        results.append(a / q)
+    for v in results:
+        assert is_normal_form(v), v
+        assert v.coeff_texts() == [str(c) for c in v.coeffs]
+        assert v.to_json_dict() == {"conductor": v.conductor, "coeffs": [str(c) for c in v.coeffs]}
+
+
+@given(st.one_of(rationals, st.integers(-(10**20), 10**20), st.fractions(max_denominator=10**9)))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_rational_hash_matches_fraction(q):
+    v = Cyclotomic.rational(q)
+    assert hash(v) == hash(q) == hash(Fraction(q))
+    assert v == q and v.rational_value() == q
+    assert hash(v + from_root(1, 7) - from_root(1, 7)) == hash(q)
+
+
 # -- algebraic laws -------------------------------------------------------------
 
 
 @given(cyclotomics(), cyclotomics())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 def test_commutativity(a, b):
     assert a + b == b + a
     assert a * b == b * a
 
 
 def fraction_product(a, b):
-    """a * b as the Fraction convolution computes it, kept as the reference
-    for the integer-numerator convolution of ``Cyclotomic.__mul__``."""
+    """a * b as a Fraction convolution of the power-basis coefficients at
+    the lcm conductor, kept as the reference for the integer-numerator
+    convolution of ``Cyclotomic.__mul__``."""
     L = math.lcm(a.conductor, b.conductor)
-    va, vb = (_substitute(L, v.coeffs, L // v.conductor) for v in (a, b))
-    conv = [Fraction(0)] * (2 * len(va) - 1)
-    for i, x in enumerate(va):
-        for j, y in enumerate(vb):
-            conv[i + j] += x * y
-    return _canonical(L, _reduce(L, conv))
+    sa, sb = L // a.conductor, L // b.conductor
+    terms = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            k = (i * sa + j * sb) % L
+            terms[k] = terms.get(k, Fraction(0)) + x * y
+    product = from_root_combination(L, terms)
+    return product.conductor, product.coeffs
 
 
 @given(cyclotomics(), cyclotomics())
@@ -205,7 +254,7 @@ def test_product_matches_fraction_convolution(a, b):
 
 
 @given(cyclotomics(), cyclotomics(), cyclotomics())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, derandomize=True, deadline=None)
 def test_associativity_distributivity(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
@@ -213,7 +262,7 @@ def test_associativity_distributivity(a, b, c):
 
 
 @given(cyclotomics())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 def test_rationality_iff_galois_fixed(v):
     n = v.conductor
     units = [r for r in range(1, n + 1) if math.gcd(r, n) == 1]
@@ -222,7 +271,7 @@ def test_rationality_iff_galois_fixed(v):
 
 
 @given(cyclotomics())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, derandomize=True, deadline=None)
 def test_galois_group_action(v):
     n = v.conductor
     units = [r for r in range(1, n + 1) if math.gcd(r, n) == 1]
@@ -233,7 +282,7 @@ def test_galois_group_action(v):
 
 
 @given(cyclotomics(), cyclotomics())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, derandomize=True, deadline=None)
 def test_galois_is_ring_map(a, b):
     n = math.lcm(a.conductor, b.conductor)
     units = [r for r in range(1, n + 1) if math.gcd(r, n) == 1]
@@ -243,7 +292,7 @@ def test_galois_is_ring_map(a, b):
 
 
 @given(cyclotomics())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, derandomize=True, deadline=None)
 def test_abs_squared_properties(v):
     sq = v.abs_squared()
     assert sq.galois(-1) == sq
@@ -260,7 +309,7 @@ def root_combinations(draw):
 
 
 @given(root_combinations())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 def test_approx_matches_direct_evaluation(combo):
     n, terms = combo
     value = from_root_combination(n, terms)

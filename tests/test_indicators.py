@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -783,10 +785,11 @@ def test_report_json_matches_reference_encoder():
     assert empty.to_json() == reference_json(empty)
 
 
-def test_report_json_irrational_entries_and_escaped_name():
+def irrational_report():
     # no corpus group has an irrational indicator, so the entries are made up:
     # complex approx lists (one with -0.0), non-ASCII pretty strings, Fraction
-    # coefficients, and a group name json has to escape
+    # coefficients (one value over two denominators), and a group name json
+    # has to escape
     values = [
         from_root(1, 5),
         sqrt_cyclotomic(5),
@@ -794,6 +797,7 @@ def test_report_json_irrational_entries_and_escaped_name():
         from_root(1, 4),
         from_root(3, 4),
         Cyclotomic.rational(Fraction(-3, 4)),
+        sqrt_cyclotomic(5) * Fraction(3, 4),
     ]
     entries = []
     for m, v in enumerate(values, 1):
@@ -808,10 +812,50 @@ def test_report_json_irrational_entries_and_escaped_name():
         SimpleIndicators(1, 2, 3, ()),
         SimpleIndicators(2, 1, 1, tuple(entries[::-1])),
     ]
-    report = IndicatorReport(Session(G), range(1, len(values) + 1), simples)
+    return IndicatorReport(Session(G), range(1, len(values) + 1), simples)
+
+
+def test_report_json_irrational_entries_and_escaped_name():
+    report = irrational_report()
     text = report.to_json()
     assert text == reference_json(report)
-    assert json.loads(text)["group"] == G.name
+    assert json.loads(text)["group"] == report.group
+
+
+def reference_csv(report):
+    """The CSV writer with the value cell as json.dumps of the value's dict."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["group", "g_class", "eta_index", "eta_degree", "m", "value", "rational", "pretty", "approx"]
+    )
+    for s in report.simples:
+        for e in s.indicators:
+            writer.writerow(
+                [
+                    report.group,
+                    s.g_class,
+                    s.eta_index,
+                    s.eta_degree,
+                    e.m,
+                    json.dumps(e.value.to_json_dict()),
+                    e.rational,
+                    e.pretty,
+                    e.approx,
+                ]
+            )
+    return buf.getvalue()
+
+
+def test_report_csv_matches_reference_writer():
+    for spec in ACCEPTANCE_SPECS + ("Q8xC3",):
+        report = all_indicators(get_session(spec))
+        assert report.to_csv() == reference_csv(report), spec
+    report = irrational_report()
+    text = report.to_csv()
+    assert text == reference_csv(report)
+    assert '"{""conductor"": 1, ""coeffs"": [""-3/4""]}"' in text
+    assert '"{""conductor"": 5, ""coeffs"": [""-3/4"", ""0"", ""-3/2"", ""-3/2""]}"' in text
 
 
 # sha256 of to_json() and to_csv() of full reports, as written before the
