@@ -362,7 +362,9 @@ class Cyclotomic:
         )
 
     def sort_key(self):
-        return (self.conductor, self.coeffs)
+        """Orders as (conductor, coeffs); an integral value keys by its
+        numerators, which compare with Fractions by value, so no Fraction is built."""
+        return (self.conductor, self.nums if self.den == 1 else self.coeffs)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

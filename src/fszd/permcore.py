@@ -5,11 +5,14 @@ Composition is right-to-left: ``(a * b)(i) = a(b(i))``, and conjugation is
 ``t.conj(x) = t * x * t^-1``.
 
 Order and membership go through a deterministic Schreier-Sims stabilizer
-chain, so they never require full enumeration.  Conjugacy classes enumerate
-elements up to a configurable bound (``FSZD_MAX_ORDER`` overrides it) and
-store each class as a Schreier vector of the conjugation action.
-Centralizers, conjugators and restricted normalizers are read off such an
-orbit (transversal elements and Schreier generators) and never enumerate G.
+chain, so they never require full enumeration.  Conjugacy classes are grown
+from the class of 1 by a walk over the classes found so far (see
+``_compute_classes``); they cover G without enumerating it, up to a
+configurable bound on |G| (``FSZD_MAX_ORDER`` overrides it), and each is
+stored as a Schreier vector of the conjugation action rooted where the walk
+found it.  Centralizers, conjugators and restricted normalizers are read off
+such an orbit (transversal elements and Schreier generators).  Only
+``Group.elements()`` enumerates G.
 
 The element-level loops (enumeration, conjugation orbits, class products)
 run on packed images instead of ``Permutation`` objects.  Up to 256 points
@@ -28,12 +31,14 @@ import math
 import os
 import re
 from collections import deque
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadDivisorError,
     ConfigError,
     DegreeLimitError,
+    InvariantError,
     NotInGroupError,
     ResourceLimitError,
     SpecParseError,
@@ -382,8 +387,8 @@ class Group:
 
         They are unpacked from the packed enumeration ``_packed_elements``
         (``bytes`` up to 256 points, image tuples above), which sorts in
-        image-tuple order in both packings.  The class computation reads that
-        enumeration directly and does not call this method.
+        image-tuple order in both packings.  Nothing else enumerates G: the
+        class computation covers it class by class.
         """
         if self._elements is None:
             self._elements = tuple(map(_unpack, _packed_elements(self)))
@@ -405,10 +410,11 @@ class Group:
 class ConjugacyClass:
     """A conjugacy class.
 
-    ``orbit`` is its Schreier vector rooted at rep (see ``_conjugation_orbit``),
-    keyed by packed elements: ``bytes`` images up to 256 points, image tuples
-    above.  ``elements`` unpacks those keys into a frozenset of
-    ``Permutation``s on each access.
+    ``orbit`` is its Schreier vector (see ``_conjugation_orbit``), keyed by
+    packed elements: ``bytes`` images up to 256 points, image tuples above.
+    It is rooted at its first key, the element where the class was found,
+    which need not be rep.  ``elements`` unpacks those keys into a frozenset
+    of ``Permutation``s on each access.
     """
 
     __slots__ = ("rep", "size", "order", "orbit")
@@ -442,14 +448,17 @@ class ConjugacyClassSet:
     classes are sorted by (element order, class size, representative).
     """
 
-    __slots__ = ("group", "classes", "_index", "_pm_cache", "exponent")
+    __slots__ = ("group", "classes", "_index", "_position", "_pm_cache", "exponent")
 
-    def __init__(self, group: Group, classes: Sequence[ConjugacyClass]):
+    def __init__(
+        self, group: Group, classes: Sequence[ConjugacyClass], index: dict, position: Sequence[int]
+    ):
+        # the class index of packed x is position[index[x]]: index numbers the
+        # classes in the order they were found, so the sort renumbers only them
         self.group = group
         self.classes = tuple(classes)
-        self._index: dict = {}  # packed element -> class index
-        for i, cl in enumerate(self.classes):
-            self._index.update(dict.fromkeys(cl.orbit, i))
+        self._index = index
+        self._position = tuple(position)
         self.exponent = math.lcm(*(cl.order for cl in self.classes))
         self._pm_cache: dict[int, tuple[int, ...]] = {}
 
@@ -464,7 +473,7 @@ class ConjugacyClassSet:
         if isinstance(x, Permutation) and x.degree == G.degree:
             i = self._index.get(G._pack(x.img))
             if i is not None:
-                return i
+                return self._position[i]
         raise NotInGroupError(f"{x!r} is not in the group")
 
     def power_map(self, m: int) -> tuple[int, ...]:
@@ -483,19 +492,26 @@ class ConjugacyClassSet:
         """For each l in cols, the class index of y * rep(l) for every y in
         class i, in the order of the class's Schreier vector."""
         G = self.group
-        compose, pad, index = G._compose, G._pad, self._index
+        compose, pad = G._compose, G._pad
+        index, position = self._index.__getitem__, self._position.__getitem__
         tables = [y + pad for y in self.classes[i].orbit]
         for l in cols:
             r = G._pack(self.classes[l].rep.img)
-            yield [index[compose(r, t)] for t in tables]
+            yield list(map(position, map(index, map(compose, repeat(r), tables))))
 
 
-def _packed_elements(G: Group) -> list:
-    """All elements of G packed, sorted (so in image-tuple order)."""
+def _checked_order(G: Group) -> int:
+    """|G|, or ResourceLimitError when it exceeds the enumeration limit."""
     limit = _enum_limit(G._enum_limit)
     n = G.order()
     if n > limit:
         raise ResourceLimitError(f"group order {n} exceeds enumeration limit {limit}", limit)
+    return n
+
+
+def _packed_elements(G: Group) -> list:
+    """All elements of G packed, sorted (so in image-tuple order)."""
+    _checked_order(G)
     compose = G._compose
     tables = [g_table for _, g_table in G._conj]
     todo = [G._pack(range(G.degree))]
@@ -540,17 +556,49 @@ def _transversal(G: Group, orbit: dict, y) -> Permutation:
 
 
 def _compute_classes(G: Group) -> ConjugacyClassSet:
-    seen: set = set()
-    classes = []
-    for x in _packed_elements(G):  # sorted, so x is the lex-min of its (unseen) class
-        if x in seen:
-            continue
+    """G's classes, grown from the class of 1 without enumerating G.
+
+    The walk reads the elements of the classes found so far in the order
+    they were found and tries g * y for each generator g; a product not yet
+    covered starts a new class, its conjugation orbit from that element.
+    The covered set S is a union of classes, so it is closed under
+    conjugation, and it contains 1.  While S != G some g * y leaves S, since
+    the Cayley graph of G on its generators is connected; so the walk covers
+    G, and it stops as soon as it has.  Each class keeps its Schreier vector
+    rooted where it was found; its representative is the least packed key
+    (the lex-min element).
+    """
+    n = _checked_order(G)
+    compose = G._compose
+    tables = [g_table for _, g_table in G._conj]
+    orbits: list[dict] = []
+    index: dict = {}  # packed element -> position of its class in orbits
+    # the products g * y leaving the covered set; it reads orbits and index as they grow
+    misses = (
+        z for orbit in orbits for y in orbit for z in map(compose, repeat(y), tables) if z not in index
+    )
+    x = G._pack(range(G.degree))
+    while True:
         orbit = _conjugation_orbit(G, x)
-        seen.update(orbit)
-        rep = _unpack(x)
+        index.update(dict.fromkeys(orbit, len(orbits)))
+        orbits.append(orbit)
+        if len(index) == n:
+            break
+        x = next(misses, None)
+        if x is None:
+            raise InvariantError(
+                f"conjugacy classes of {G!r}: the walk covered {len(index)} of {n} elements"
+            )
+    classes = []
+    for orbit in orbits:
+        rep = _unpack(min(orbit))
         classes.append(ConjugacyClass(rep, rep.order(), orbit))
-    classes.sort(key=lambda cl: (cl.order, cl.size, cl.rep.img))
-    return ConjugacyClassSet(G, classes)
+    keys = [(cl.order, cl.size, cl.rep.img) for cl in classes]
+    found = sorted(range(len(classes)), key=keys.__getitem__)
+    position = [0] * len(found)
+    for i, c in enumerate(found):
+        position[c] = i
+    return ConjugacyClassSet(G, [classes[c] for c in found], index, position)
 
 
 def conjugacy_classes(G: Group) -> ConjugacyClassSet:
@@ -570,23 +618,26 @@ def centralizer(G: Group, z: Permutation) -> Group:
     """The subgroup of G commuting with z: the stabilizer of z under
     conjugation, generated by the Schreier generators of z's orbit.
 
-    When G's classes are already computed and z represents its class, the
-    class's stored Schreier vector is that orbit and is reused.
+    When G's classes are already computed, the stored Schreier vector of
+    z's class is that orbit and is reused.  Its Schreier generators fix the
+    orbit's root, so each is conjugated by the transversal element t with
+    t.conj(root) == z (the identity when z is the root).
     """
     if z not in G:
         raise NotInGroupError("centralizer: element is not in the group")
     compose, pad = G._compose, G._pad
     x = G._pack(z.img)
     cs = G._classes
-    cl = cs.classes[cs._index[x]] if cs is not None else None
-    orbit = cl.orbit if cl is not None and cl.rep == z else _conjugation_orbit(G, x)
+    orbit = cs.classes[cs.position_of(z)].orbit if cs is not None else _conjugation_orbit(G, x)
+    t = _transversal(G, orbit, x)
     target = G.order() // len(orbit)
+    # (y, g_i) is an edge of the Schreier tree when g_i reached g_i.conj(y)
+    # from y; its Schreier generator is 1 and is skipped
     schreier = (
-        _transversal(G, orbit, compose(compose(a, y + pad), b)).inverse()
-        * g
-        * _transversal(G, orbit, y)
+        t.conj(_transversal(G, orbit, w).inverse() * g * _transversal(G, orbit, y))
         for y in orbit
-        for g, (a, b) in zip(G.generators, G._conj)
+        for i, (g, (a, b)) in enumerate(zip(G.generators, G._conj))
+        if orbit[w := compose(compose(a, y + pad), b)] != i
     )
     gens: list[Permutation] = []
     chain = StabilizerChain(gens, G.degree)

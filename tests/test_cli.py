@@ -101,8 +101,9 @@ def test_parse_errors_exit_2(capsys):
 
 def test_resource_limit_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("FSZD_MAX_ORDER", "50")
-    code, _, err = run(capsys, "indicators", "--group", "S5")
-    assert code == 2 and "limit" in err
+    code, out, err = run(capsys, "indicators", "--group", "S5")
+    assert code == 2 and "limit" in err and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_bad_env_exit_2(capsys, monkeypatch):

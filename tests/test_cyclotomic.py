@@ -335,3 +335,12 @@ def test_sort_key_deterministic():
     a = from_root_combination(12, {5: 2})
     b = from_root_combination(12, {5: 2})
     assert a.sort_key() == b.sort_key() and hash(a) == hash(b)
+
+
+@given(st.lists(cyclotomics(conductors=[1, 3, 4, 5, 12]), min_size=2, max_size=12))
+@settings(max_examples=80, derandomize=True)
+def test_sort_key_orders_as_conductor_and_coeffs(values):
+    # integral values key by their integer numerators, the others by Fractions
+    values = values + [v * v.den for v in values]
+    expected = sorted(values, key=lambda v: (v.conductor, v.coeffs))
+    assert sorted(values, key=Cyclotomic.sort_key) == expected

@@ -44,6 +44,7 @@ from fszd.indicators import IndicatorEntry, SimpleIndicators
 
 import fszd.chartab
 import fszd.indicators
+import fszd.permcore
 from conftest import (
     ACCEPTANCE_SPECS,
     SL23_SPEC,
@@ -397,6 +398,23 @@ def test_centralizer_groups_are_shared(monkeypatch):
         for z in range(len(session.classes)):
             session.centralizer_table(z)
         assert sorted(map(id, built)) == sorted(distinct)
+
+
+def test_class_level_path_never_enumerates(monkeypatch):
+    def no_enumeration(G):
+        raise AssertionError(f"{G!r} enumerated")
+
+    monkeypatch.setattr(fszd.permcore, "_packed_elements", no_enumeration)
+    for spec in ("S6", "C2xS5"):
+        S = Session(construct_group(spec))
+        all_indicators(S)
+        fsz_test(S, 1)
+        fsz_test(S, 5)
+        for z_class, cl in enumerate(S.classes):
+            for m in (2, 6):
+                assert gamma(S, z_class, m, "characters") == gamma(S, z_class, m, "cmc")
+            for d in (1, 5):
+                restricted_normalizer(S.group, cl.rep, d)
 
 
 def test_mu_reproduces_classical_fs_indicator():

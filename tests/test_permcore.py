@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fszd import (
     DegreeLimitError,
+    InvariantError,
     Session,
     all_indicators,
     NotInGroupError,
@@ -22,6 +23,7 @@ from fszd import (
     restricted_normalizer,
 )
 from fszd.chartab import _class_matrix, class_mult_coeff
+from fszd import permcore
 from fszd.permcore import StabilizerChain, _transversal
 
 from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, two_generator_groups
@@ -148,6 +150,15 @@ def test_enum_limit_env(monkeypatch):
     with pytest.raises(ResourceLimitError):
         G.elements()
 
+    def no_orbit(*args):
+        raise AssertionError("orbit built above the enumeration limit")
+
+    monkeypatch.setattr(permcore, "_conjugation_orbit", no_orbit)
+    with pytest.raises(ResourceLimitError):
+        G.conjugacy_classes()
+    with pytest.raises(ResourceLimitError):
+        Session(construct_group("S5"))
+
 
 # -- membership oracle ---------------------------------------------------------
 
@@ -221,6 +232,13 @@ def test_classes_match_bruteforce_grouping():
             expected.add(frozenset(t.conj(x) for t in elements))
         got = {frozenset(c.elements) for c in G.conjugacy_classes()}
         assert got == expected
+
+
+def test_class_walk_checks_its_cover(monkeypatch):
+    G = construct_group("S4")
+    monkeypatch.setattr(G, "order", lambda: 48)
+    with pytest.raises(InvariantError, match=r"S4.*24 of 48"):
+        G.conjugacy_classes()
 
 
 def test_class_determinism():
@@ -358,11 +376,16 @@ def _restricted_normalizer_by_filter(G, g, d):
 def _check_against_filters(G):
     exp = group_exponent(G)
     for cl in G.conjugacy_classes():
-        g = cl.rep
-        assert frozenset(centralizer(G, g).elements()) == _centralizer_by_filter(G, g)
-        for d in (d for d in range(1, exp + 1) if exp % d == 0):
-            got = frozenset(restricted_normalizer(G, g, d).elements())
-            assert got == _restricted_normalizer_by_filter(G, g, d), (g, d)
+        # the representative, the root of the class's Schreier vector and its last key
+        root, last = next(iter(cl.orbit)), next(reversed(cl.orbit))
+        members = list(dict.fromkeys([cl.rep, Permutation(root), Permutation(last)]))
+        for g in members:
+            assert frozenset(centralizer(G, g).elements()) == _centralizer_by_filter(G, g)
+            for d in (d for d in range(1, exp + 1) if exp % d == 0):
+                got = frozenset(restricted_normalizer(G, g, d).elements())
+                assert got == _restricted_normalizer_by_filter(G, g, d), (g, d)
+            for h in members:
+                assert conjugator(G, g, h).conj(g) == h
 
 
 @pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
@@ -427,8 +450,10 @@ def _check_packed_paths(G):
     assert {frozenset(c.elements) for c in cs} == expected
     for i, cl in enumerate(cs.classes):
         assert cl.rep == min(cl.elements)
+        root = next(iter(cl.orbit))
+        assert cl.orbit[root] == -1
         for y in cl.orbit:
-            assert _transversal(G, cl.orbit, y).conj(cl.rep).img == tuple(y)
+            assert _transversal(G, cl.orbit, y).conj(Permutation(root)).img == tuple(y)
         assert _class_matrix(cs, i) == _class_matrix_reference(cs, i)
     k = len(cs)
     counts = _class_mult_coeffs_reference(cs)
