@@ -7,22 +7,29 @@ the orthogonality relation, and values lifted to Q(zeta_exp(G)) by counting
 root-of-unity multiplicities through the power maps.  Everything is
 deterministic: smallest prime, smallest primitive root, classes and
 eigenvalues in ascending order.
+
+The GF(p) stages follow Schneider ("Dixon's character table algorithm
+revisited", J. Symb. Comput. 9, 1990) in keeping each class matrix row as
+its nonzero (column, value) pairs: a class matrix has at most |C_i| nonzeros
+per column, and for an abelian group it is a permutation matrix.  The
+characteristic polynomial of a class matrix restricted to an eigenspace is
+taken in O(d^3) through Hessenberg form (``_charpoly_mod``).  The
+multiplicity lift of a value is a function of its GF(p) column alone, so
+each distinct column is lifted and checked once per table; a Galois
+conjugate of a character repeats that character's columns at other classes.
+Every table then passes an exact self-check of degrees and row
+orthonormality.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
 from ._nt import divisors, is_prime, modinv, primitive_root, tonelli_sqrt
 from .cyclotomic import Cyclotomic, ZERO, _canonical, _reduce, from_root_combination
-from .errors import (
-    MismatchedTablesError,
-    ResourceLimitError,
-    TableComputationError,
-)
+from .errors import MismatchedTablesError, TableComputationError
 from .permcore import ConjugacyClassSet, Group, Permutation
-
-DEFAULT_TABLE_ORDER_LIMIT = 100_000
 
 
 class ClassFunction:
@@ -233,32 +240,62 @@ def power_map(table: CharacterTable, m: int) -> tuple[int, ...]:
 
 
 def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
-    """det(xI - A) mod p by the division-free Berkowitz algorithm.
+    """det(xI - A) mod p in O(n^3), by reduction to Hessenberg form.
 
-    Coefficients are returned in descending degree order (monic first).
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9.
+    A copy H of A is brought to upper Hessenberg form (h_ij = 0 for
+    i > j + 1) by similarity transforms: for each column m - 1, a row i >= m
+    with h_{i,m-1} != 0 is swapped with row m (and column i with column m),
+    then each row i > m loses u_i = h_{i,m-1} / h_{m,m-1} times row m while
+    column m gains u_i times column i.  A column with no such pivot is
+    already reduced.  The characteristic polynomials p_m of the leading m x m
+    blocks of H then satisfy p_0 = 1 and
+
+        p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (prod_{j=i+1..m} h_{j,j-1}) p_i,
+
+    where a zero subdiagonal entry ends the sum.  Coefficients are returned
+    in descending degree order (monic first); ``a`` is not modified.
     """
     n = len(a)
-    if n == 0:
-        return [1]
-    poly = [1, (-a[0][0]) % p]
-    for i in range(1, n):
-        row = a[i][:i]
-        col = [a[r][i] for r in range(i)]
-        sub = [r[:i] for r in a[:i]]
-        t = [1, (-a[i][i]) % p]
-        v = col
-        for k in range(2, i + 2):
-            if k > 2:
-                v = [sum(sub[r][c] * v[c] for c in range(i)) % p for r in range(i)]
-            t.append((-sum(row[c] * v[c] for c in range(i))) % p)
-        new = []
-        for r in range(i + 2):
-            s = 0
-            for c in range(max(0, r - i - 1), min(r, i) + 1):
-                s += t[r - c] * poly[c]
-            new.append(s % p)
-        poly = new
-    return poly
+    h = [[x % p for x in row] for row in a]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        inv = modinv(h[m][m - 1], p)
+        pivot_row = h[m]
+        updates = []
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], pivot_row)]
+                updates.append((i, u))
+        if updates:
+            for row in h:
+                row[m] = (row[m] + sum(u * row[i] for i, u in updates)) % p
+    # polys[m]: characteristic polynomial of the leading m x m block, ascending
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        new = [0] + prev
+        hmm = h[m][m]
+        for c, x in enumerate(prev):
+            new[c] -= hmm * x
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = h[i][m] * t % p
+            if f:
+                for c, x in enumerate(polys[i]):
+                    new[c] -= f * x
+        polys.append([x % p for x in new])
+    return polys[n][::-1]
 
 
 def _eval_poly_mod(poly: list[int], x: int, p: int) -> int:
@@ -328,6 +365,16 @@ def _choose_prime(exponent: int, order: int) -> int:
         p += exponent
 
 
+def _class_matrix_rows(cs: ConjugacyClassSet, i: int) -> list[list[tuple[int, int]]]:
+    """The rows of ``_class_matrix(cs, i)`` as their (l, M[j][l]) pairs with
+    M[j][l] != 0, in ascending l."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(len(cs))]
+    for l, col in enumerate(cs.product_classes(cs.inverse_map()[i], range(len(cs)))):
+        for j, count in Counter(col).items():
+            rows[j].append((l, count))
+    return rows
+
+
 def _class_matrix(cs: ConjugacyClassSet, i: int) -> list[list[int]]:
     """M[j][l] = #{x in class i : x^-1 * rep(l) in class j}, exact.
 
@@ -336,14 +383,17 @@ def _class_matrix(cs: ConjugacyClassSet, i: int) -> list[list[int]]:
     """
     k = len(cs)
     mat = [[0] * k for _ in range(k)]
-    for l, col in enumerate(cs.product_classes(cs.inverse_map()[i], range(k))):
-        for j in col:
-            mat[j][l] += 1
+    for row, pairs in zip(mat, _class_matrix_rows(cs, i)):
+        for l, count in pairs:
+            row[l] = count
     return mat
 
 
-def _split_eigenspaces(spaces: list[_Subspace], mat: list[list[int]], p: int) -> list[_Subspace]:
-    k = len(mat)
+def _split_eigenspaces(
+    spaces: list[_Subspace], mat_rows: list[list[tuple[int, int]]], p: int
+) -> list[_Subspace]:
+    """Split each space into the eigenspaces of the class matrix M whose
+    rows are given as (column, value mod p) pairs, zeros left out."""
     out: list[_Subspace] = []
     for sp in spaces:
         d = sp.dim
@@ -354,7 +404,7 @@ def _split_eigenspaces(spaces: list[_Subspace], mat: list[list[int]], p: int) ->
         # (the space is M-invariant and its rows are in RREF, so the pivot
         # coordinates of M*s determine it)
         restricted = [
-            [sum(x * y for x, y in zip(mat[r], s)) % p for s in sp.rows] for r in sp.pivots
+            [sum(x * s[c] for c, x in mat_rows[r]) % p for s in sp.rows] for r in sp.pivots
         ]
         poly = _charpoly_mod(restricted, p)
         roots = [lam for lam in range(p) if _eval_poly_mod(poly, lam, p) == 0]
@@ -367,10 +417,13 @@ def _split_eigenspaces(spaces: list[_Subspace], mat: list[list[int]], p: int) ->
             basis = _nullspace_mod(shifted, p, d)
             if not basis:
                 continue
-            amb_rows = [
-                [sum(vec[j] * sp.rows[j][c] for j in range(d)) % p for c in range(k)]
-                for vec in basis
-            ]
+            amb_rows = []
+            for vec in basis:
+                acc = [0] * len(sp.rows[0])
+                for coef, srow in zip(vec, sp.rows):
+                    if coef:
+                        acc = [a + coef * x for a, x in zip(acc, srow)]
+                amb_rows.append([a % p for a in acc])
             rows, pivots = _rref_mod(amb_rows, p)
             out.append(_Subspace(rows, pivots))
             covered += len(rows)
@@ -379,16 +432,11 @@ def _split_eigenspaces(spaces: list[_Subspace], mat: list[list[int]], p: int) ->
     return out
 
 
-def character_table(G: Group, order_limit: int | None = None) -> CharacterTable:
+def character_table(G: Group) -> CharacterTable:
     """Exact character table of G (cached on the group object)."""
     if G._chartab is not None:
         return G._chartab
-    limit = DEFAULT_TABLE_ORDER_LIMIT if order_limit is None else order_limit
     n = G.order()
-    if n > limit:
-        raise ResourceLimitError(
-            f"character table of order-{n} group exceeds limit {limit}", limit
-        )
     cs = G.conjugacy_classes()
     k = len(cs)
     e = cs.exponent
@@ -401,8 +449,10 @@ def character_table(G: Group, order_limit: int | None = None) -> CharacterTable:
     for ci in range(1, k):
         if all(sp.dim == 1 for sp in spaces):
             break
-        mat = [[v % p for v in row] for row in _class_matrix(cs, ci)]
-        spaces = _split_eigenspaces(spaces, mat, p)
+        mat_rows = [
+            [(l, v % p) for l, v in pairs if v % p] for pairs in _class_matrix_rows(cs, ci)
+        ]
+        spaces = _split_eigenspaces(spaces, mat_rows, p)
     if any(sp.dim != 1 for sp in spaces):
         raise TableComputationError("class matrices did not split the group algebra")
 
@@ -422,6 +472,11 @@ def character_table(G: Group, order_limit: int | None = None) -> CharacterTable:
         zpow = [pow(zeta, a, p) * inv_o % p for a in range(o)]
         lift[o] = [[zpow[-i * t % o] for t in range(o)] for i in range(o)]
 
+    # the lift of a GF(p) column, keyed by the column itself: its length is
+    # the element order and its first entry the degree, so the key fixes
+    # every input of the lift and its checks.  Galois conjugate, linear and
+    # trivial rows repeat columns.
+    lifted: dict[tuple[int, ...], Cyclotomic] = {}
     rows = []
     for r, sp in enumerate(spaces):
         where = f"{G!r}, eigenspace {r}"
@@ -444,19 +499,24 @@ def character_table(G: Group, order_limit: int | None = None) -> CharacterTable:
         chihat = [deg * omega[j] * inv_sizes[j] % p for j in range(k)]
         values = []
         for j, column in enumerate(columns):
-            col = [chihat[c] for c in column]
-            mults = {}
-            for i, zrow in enumerate(lift[orders[j]]):
-                m_i = sum(c * z for c, z in zip(col, zrow)) % p
-                if m_i:
-                    if m_i > deg:
-                        raise TableComputationError(
-                            f"multiplicity lift out of range ({where}, class {j})"
-                        )
-                    mults[i] = m_i
-            if sum(mults.values()) != deg:
-                raise TableComputationError(f"multiplicity lift inconsistent ({where}, class {j})")
-            values.append(from_root_combination(orders[j], mults))
+            col = tuple(chihat[c] for c in column)
+            value = lifted.get(col)
+            if value is None:
+                mults = {}
+                for i, zrow in enumerate(lift[orders[j]]):
+                    m_i = sum(c * z for c, z in zip(col, zrow)) % p
+                    if m_i:
+                        if m_i > deg:
+                            raise TableComputationError(
+                                f"multiplicity lift out of range ({where}, class {j})"
+                            )
+                        mults[i] = m_i
+                if sum(mults.values()) != deg:
+                    raise TableComputationError(
+                        f"multiplicity lift inconsistent ({where}, class {j})"
+                    )
+                value = lifted[col] = from_root_combination(orders[j], mults)
+            values.append(value)
         rows.append(ClassFunction(cs, values))
 
     rows.sort(key=lambda cf: (cf.degree().as_integer(), [v.sort_key() for v in cf.values]))

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -196,10 +199,12 @@ def test_trivial_group_table():
         verify_column_orthogonality(table)
 
 
-def test_resource_limit():
-    G = construct_group("S5")
+def test_resource_limit(monkeypatch):
+    # FSZD_MAX_ORDER bounds |G| before any class is computed; a table has
+    # no order limit of its own
+    monkeypatch.setenv("FSZD_MAX_ORDER", "50")
     with pytest.raises(ResourceLimitError):
-        character_table(G, order_limit=100)
+        character_table(construct_group("S5"))
 
 
 def test_determinism():
@@ -473,3 +478,99 @@ def test_non_residue_degree_raises_typed_error(monkeypatch):
     G = construct_group("S3")
     with pytest.raises(TableComputationError, match=r"degree recovery failed \(Group\[S3\], eigenspace 0\)"):
         character_table(G)
+
+
+def _berkowitz_charpoly_mod(a, p):
+    """det(xI - A) mod p by the division-free Berkowitz algorithm, in
+    descending degree order: the O(n^4) reference for ``_charpoly_mod``."""
+    n = len(a)
+    if n == 0:
+        return [1]
+    poly = [1, (-a[0][0]) % p]
+    for i in range(1, n):
+        row = a[i][:i]
+        col = [a[r][i] for r in range(i)]
+        sub = [r[:i] for r in a[:i]]
+        t = [1, (-a[i][i]) % p]
+        v = col
+        for k in range(2, i + 2):
+            if k > 2:
+                v = [sum(sub[r][c] * v[c] for c in range(i)) % p for r in range(i)]
+            t.append((-sum(row[c] * v[c] for c in range(i))) % p)
+        new = []
+        for r in range(i + 2):
+            s = 0
+            for c in range(max(0, r - i - 1), min(r, i) + 1):
+                s += t[r - c] * poly[c]
+            new.append(s % p)
+        poly = new
+    return poly
+
+
+def _test_matrix(rng, kind, n, p):
+    if kind == "dense":
+        return [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
+    if kind == "sparse":
+        return [[rng.randrange(p) if rng.random() < 0.15 else 0 for _ in range(n)] for _ in range(n)]
+    if kind == "block-triangular":
+        # zero below the diagonal blocks: no pivot below the subdiagonal in
+        # column cut - 1, and a zero subdiagonal entry there
+        cut = rng.randint(0, n)
+        return [[rng.randrange(p) if i < cut or j >= cut else 0 for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+
+
+def test_charpoly_matches_berkowitz_reference():
+    from fszd.chartab import _charpoly_mod
+
+    rng = random.Random(12)
+    for trial in range(60):
+        for kind in ("dense", "sparse", "block-triangular", "permutation"):
+            for p in (2, 3, 11, 101, 2521):
+                n = trial % 13
+                a = _test_matrix(rng, kind, n, p)
+                before = [row[:] for row in a]
+                got = _charpoly_mod(a, p)
+                assert a == before, (kind, n, p)
+                want = _berkowitz_charpoly_mod([[x % p for x in row] for row in a], p)
+                assert got == want, (kind, n, p, a)
+
+
+TABLE_DIGESTS = {
+    "C25": "ecd0d0ba8b5d9c2464b618d280a18ebbe7d5055bd134ccff119bcd8b9cfdad2b",
+    "C5xC5": "4b78c632a9c2846c4a7c01d354da7be5ed785818e1e8624ff591d1bb5ab0e983",
+    "Q8xC3": "f75be9dd7515da9cb510ef214e864cb500155600bef02a56228a17bb7970098d",
+    SL23_SPEC: "8bc10bd34551696642f1c50b256e97ef739b9d763aa5d79bf9943a1a4d175ec4",
+    "S8": "a8f7ec446718ec5b18525bec707ea3677274982d5373dcb6e84918304eda33e6",
+    "C3xC3xC3xC2": "c3830ed2e7b2745b4109630d86e0955793d69a6dbcf545f5ea67bf6e44c88b79",
+}
+
+
+@pytest.mark.parametrize("spec", list(TABLE_DIGESTS))
+def test_table_bytes_pinned(spec):
+    data = json.dumps(character_table(construct_group(spec)).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest() == TABLE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", ["C5", "C25"])
+def test_corrupted_lift_fails_the_self_check(monkeypatch, spec):
+    # the lift is memoized on its GF(p) column, so the one corrupted value
+    # reaches every row and class that repeats that column
+    import fszd.chartab as chartab
+
+    real = chartab.from_root_combination
+    corrupted = []
+
+    def corrupt_first_irrational(n, mults):
+        value = real(n, mults)
+        if not corrupted and not value.is_rational():
+            corrupted.append(value)
+            return value + 1
+        return value
+
+    monkeypatch.setattr(chartab, "from_root_combination", corrupt_first_irrational)
+    with pytest.raises(TableComputationError):
+        character_table(construct_group(spec))
+    assert corrupted
