@@ -4,7 +4,8 @@ Class multiplication matrices are diagonalized simultaneously over GF(p) for
 the smallest prime p = 1 mod exp(G) with p^2 > 4|G|; central characters are
 read off the one-dimensional common eigenspaces, degrees recovered through
 the orthogonality relation, and values lifted to Q(zeta_exp(G)) by counting
-root-of-unity multiplicities through the power maps.  Everything is
+root-of-unity multiplicities along each class's power column (the classes
+of rep**t for t < o(rep), which the class set keeps).  Everything is
 deterministic: smallest prime, smallest primitive root, classes and
 eigenvalues in ascending order.
 
@@ -176,8 +177,9 @@ def class_sum(f: ClassFunction, weights: dict[int, int], den: int = 1) -> Cyclot
 
 def class_mult_coeff(classes: ConjugacyClassSet, a: int, b: int, c: int) -> int:
     """Number of pairs (x, y) in class a x class b with x*y = rep(c)."""
-    # x * y = rep(c) exactly when y = x^-1 * rep(c), and x^-1 runs over the inverse class
-    (col,) = classes.product_classes(classes.inverse_map()[a], (c,))
+    # x * y = rep(c) exactly when y = x^-1 * rep(c), and x^-1 runs over the
+    # inverse class, the last entry of a's power column
+    (col,) = classes.product_classes(classes.power_columns[a][-1], (c,))
     return col.count(b)
 
 
@@ -366,27 +368,18 @@ def _choose_prime(exponent: int, order: int) -> int:
 
 
 def _class_matrix_rows(cs: ConjugacyClassSet, i: int) -> list[list[tuple[int, int]]]:
-    """The rows of ``_class_matrix(cs, i)`` as their (l, M[j][l]) pairs with
-    M[j][l] != 0, in ascending l."""
+    """The class matrix M[j][l] = #{x in class i : x^-1 * rep(l) in class j},
+    exact, as one row per j of its (l, M[j][l]) pairs with M[j][l] != 0, in
+    ascending l.
+
+    x^-1 runs over the inverse class (the last entry of i's power column), so
+    column l counts the classes of y * rep(l) for y there.
+    """
     rows: list[list[tuple[int, int]]] = [[] for _ in range(len(cs))]
-    for l, col in enumerate(cs.product_classes(cs.inverse_map()[i], range(len(cs)))):
+    for l, col in enumerate(cs.product_classes(cs.power_columns[i][-1], range(len(cs)))):
         for j, count in Counter(col).items():
             rows[j].append((l, count))
     return rows
-
-
-def _class_matrix(cs: ConjugacyClassSet, i: int) -> list[list[int]]:
-    """M[j][l] = #{x in class i : x^-1 * rep(l) in class j}, exact.
-
-    x^-1 runs over the inverse class, so column l counts the classes of
-    y * rep(l) for y there.
-    """
-    k = len(cs)
-    mat = [[0] * k for _ in range(k)]
-    for row, pairs in zip(mat, _class_matrix_rows(cs, i)):
-        for l, count in pairs:
-            row[l] = count
-    return mat
 
 
 def _split_eigenspaces(
@@ -459,14 +452,11 @@ def character_table(G: Group) -> CharacterTable:
     inv_map = cs.inverse_map()
     sizes = [cl.size for cl in cs.classes]
     inv_sizes = [modinv(size, p) for size in sizes]
-    orders = [cl.order for cl in cs.classes]
-    # multiplicity lift, taken once per table: the power-map column
-    # (class of rep**t, t < order) of each class, and for each element
-    # order o the matrix of zeta_o^(-i*t) / o mod p
-    pmaps = [cs.power_map(t) for t in range(max(orders))]
-    columns = [[pm[j] for pm in pmaps[:o]] for j, o in enumerate(orders)]
+    # multiplicity lift, taken once per table: for each element order o the
+    # matrix of zeta_o^(-i*t) / o mod p, applied to the values along each
+    # class's power column (class of rep**t, t < order)
     lift = {}
-    for o in set(orders):
+    for o in {cl.order for cl in cs.classes}:
         zeta = pow(w, e // o, p)
         inv_o = modinv(o, p)
         zpow = [pow(zeta, a, p) * inv_o % p for a in range(o)]
@@ -498,12 +488,12 @@ def character_table(G: Group) -> CharacterTable:
             raise TableComputationError(f"degree recovery failed ({where}): degree {deg}")
         chihat = [deg * omega[j] * inv_sizes[j] % p for j in range(k)]
         values = []
-        for j, column in enumerate(columns):
+        for j, column in enumerate(cs.power_columns):
             col = tuple(chihat[c] for c in column)
             value = lifted.get(col)
             if value is None:
                 mults = {}
-                for i, zrow in enumerate(lift[orders[j]]):
+                for i, zrow in enumerate(lift[len(col)]):
                     m_i = sum(c * z for c, z in zip(col, zrow)) % p
                     if m_i:
                         if m_i > deg:
@@ -515,7 +505,7 @@ def character_table(G: Group) -> CharacterTable:
                     raise TableComputationError(
                         f"multiplicity lift inconsistent ({where}, class {j})"
                     )
-                value = lifted[col] = from_root_combination(orders[j], mults)
+                value = lifted[col] = from_root_combination(len(col), mults)
             values.append(value)
         rows.append(ClassFunction(cs, values))
 
@@ -554,17 +544,15 @@ def verify_class_algebra(table: CharacterTable) -> None:
     cs = table.classes
     k = len(cs)
     sizes = [cl.size for cl in cs.classes]
-    mats = [_class_matrix(cs, i) for i in range(k)]
+    mats = [_class_matrix_rows(cs, i) for i in range(k)]
     for cf in table.irreducibles:
         d = cf.degree()
         omega = [cf.values[j] * sizes[j] / d for j in range(k)]
         for i in range(1, k):
-            mat = mats[i]
-            for j in range(k):
+            for j, pairs in enumerate(mats[i]):
                 lhs = ZERO
-                for l in range(k):
-                    if mat[j][l]:
-                        lhs = lhs + omega[l] * mat[j][l]
+                for l, count in pairs:
+                    lhs = lhs + omega[l] * count
                 if lhs != omega[i] * omega[j]:
                     raise TableComputationError(
                         f"class algebra eigenvector check failed at classes {i},{j}"

@@ -140,13 +140,14 @@ class Session:
         return self.order // self.classes.classes[z_class].size
 
     def root_classes(self, z_class: int, m: int) -> tuple[int, ...]:
-        """Indices of the classes of C_G(z) made of m-th roots of z."""
+        """Indices of the classes of C_G(z) made of m-th roots of z: those
+        whose m-th power is the class of z, which is {z} as z is central."""
         key = (z_class, m)
         roots = self._roots.get(key)
         if roots is None:
-            z = self.classes.classes[z_class].rep
             ccs = self.centralizer_classes(z_class)
-            roots = tuple(a for a, cl in enumerate(ccs.classes) if cl.rep**m == z)
+            zc = ccs.position_of(self.classes.classes[z_class].rep)
+            roots = tuple(a for a, c in enumerate(ccs.power_map(m)) if c == zc)
             self._roots[key] = roots
         return roots
 
@@ -154,6 +155,7 @@ class Session:
 
     def gamma_vector(self, z_class: int, m: int, backend: str = "characters") -> tuple[int, ...]:
         """gamma_m^z as an integer vector over the classes of C_G(z)."""
+        _check_backend(backend)
         red = reduce_gamma_params(self, z_class, m)
         ccs = self.centralizer_classes(z_class)
         k = len(ccs)
@@ -172,19 +174,15 @@ class Session:
         return tuple(base[j] for j in pm)
 
     def _gamma_base(self, z_class: int, m: int, backend: str) -> tuple[int, ...]:
-        ccs = self.centralizer_classes(z_class)
-        k = len(ccs)
-        roots = self.root_classes(z_class, m)
+        _check_backend(backend)
         if backend == "cmc":
+            ccs = self.centralizer_classes(z_class)
+            roots = self.root_classes(z_class, m)
             inv = ccs.inverse_map()
-            out = []
-            for c in range(k):
-                out.append(
-                    sum(class_mult_coeff(ccs, a, inv[b], c) for a in roots for b in roots)
-                )
-            return tuple(out)
-        if backend != "characters":
-            raise ValueError(f"unknown gamma backend {backend!r}")
+            return tuple(
+                sum(class_mult_coeff(ccs, a, inv[b], c) for a in roots for b in roots)
+                for c in range(len(ccs))
+            )
         table = self.centralizer_table(z_class)
         betas = [beta(self, z_class, m, i) for i in range(len(table.irreducibles))]
         out = []
@@ -249,6 +247,11 @@ class Session:
                 bucket[mt.mate_class] = bucket.get(mt.mate_class, 0) + weight * gval
         for g_class, bucket in accum.items():
             self._mus[(g_class, m)] = MuElement(g_class, m, dict(sorted(bucket.items())))
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in ("characters", "cmc"):
+        raise ValueError(f"unknown gamma backend {backend!r}")
 
 
 def _character_sums(

@@ -250,7 +250,7 @@ def benchmark(G: Group, ms: Sequence[int] | None = None) -> BenchResult:
             nu_naive(G, g, eta, m, max_order=G.order())
     naive_seconds = time.perf_counter() - start
 
-    cold = Group(G.degree, G.generators, name=G.name, enum_limit=G._enum_limit)
+    cold = Group(G.degree, G.generators, name=G.name)
     start = time.perf_counter()
     all_indicators(Session(cold), m_list)
     class_seconds = time.perf_counter() - start

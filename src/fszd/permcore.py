@@ -7,23 +7,25 @@ Composition is right-to-left: ``(a * b)(i) = a(b(i))``, and conjugation is
 Order and membership go through a deterministic Schreier-Sims stabilizer
 chain, so they never require full enumeration.  Conjugacy classes are grown
 from the class of 1 by a walk over the classes found so far (see
-``_compute_classes``); they cover G without enumerating it, up to a
-configurable bound on |G| (``FSZD_MAX_ORDER`` overrides it), and each is
-stored as a Schreier vector of the conjugation action rooted where the walk
-found it.  Centralizers, conjugators and restricted normalizers are read off
-such an orbit (transversal elements and Schreier generators).  Only
-``Group.elements()`` enumerates G.
+``_compute_classes``), up to a configurable bound on |G| (``FSZD_MAX_ORDER``
+overrides it).  The walk is the one cover of G: its class index answers
+``position_of`` and its keys are ``Group.elements()``.  Each class is stored
+as a Schreier vector of the conjugation action, rooted where the walk found
+it, off which centralizers, conjugators and restricted normalizers are read,
+and with a power column (the classes of rep**t, t < o(rep)) that answers
+every power question.
 
-The element-level loops (enumeration, conjugation orbits, class products)
-run on packed images instead of ``Permutation`` objects.  Up to 256 points
-an element is ``bytes(img)``: ``t * x`` is ``x.translate(t + pad)``, where
-``pad`` extends t's image by the identity to all 256 byte values, so the
-product runs in C and the packed element hashes once and sorts in the order
-of its image tuple.  Above 256 points, where a byte cannot hold a point, an
-element is its image tuple and ``t * x`` is ``tuple(map(t.__getitem__, x))``
-with an empty ``pad``.  The degree alone picks the packing (``_packing``);
-``Permutation`` objects are made only at the boundary: class
-representatives, transversal elements and ``Group.elements()``.
+The element-level loops (the class walk, conjugation orbits, power columns,
+class products) run on packed images instead of ``Permutation`` objects.
+Up to 256 points an element is ``bytes(img)``: ``t * x`` is
+``x.translate(t + pad)``, where ``pad`` extends t's image by the identity to
+all 256 byte values, so the product runs in C and the packed element hashes
+once and sorts in the order of its image tuple.  Above 256 points, where a
+byte cannot hold a point, an element is its image tuple and ``t * x`` is
+``tuple(map(t.__getitem__, x))`` with an empty ``pad``.  The degree alone
+picks the packing (``_packing``); ``Permutation`` objects are made only at
+the boundary: class representatives, transversal elements and
+``Group.elements()``.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import math
 import os
 import re
 from collections import deque
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -60,10 +62,6 @@ def env_max_order(default: int) -> int:
     if value < 1:
         raise ConfigError(f"FSZD_MAX_ORDER must be a positive integer, got {env!r}")
     return value
-
-
-def _enum_limit(override: int | None = None) -> int:
-    return override if override is not None else env_max_order(DEFAULT_ENUM_LIMIT)
 
 
 class Permutation:
@@ -339,7 +337,6 @@ class Group:
         degree: int,
         generators: Iterable[Permutation] = (),
         name: str | None = None,
-        enum_limit: int | None = None,
     ):
         gens: list[Permutation] = []
         seen: set[Permutation] = set()
@@ -359,7 +356,6 @@ class Group:
         packed = [(self._pack(g.img), self._pack(g.inverse().img)) for g in gens]
         self._conj = tuple((ginv, g + self._pad) for g, ginv in packed)
         self._inverse_conj = tuple((g, ginv + self._pad) for g, ginv in packed)
-        self._enum_limit = enum_limit
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._classes: "ConjugacyClassSet | None" = None
@@ -383,15 +379,11 @@ class Group:
         return self.chain().contains(p)
 
     def elements(self) -> tuple[Permutation, ...]:
-        """All elements as Permutations, sorted by image tuple (desk scale only).
-
-        They are unpacked from the packed enumeration ``_packed_elements``
-        (``bytes`` up to 256 points, image tuples above), which sorts in
-        image-tuple order in both packings.  Nothing else enumerates G: the
-        class computation covers it class by class.
-        """
+        """All elements as Permutations, sorted by image tuple (desk scale only):
+        the keys of the class walk's index, which sort in image-tuple order in
+        both packings."""
         if self._elements is None:
-            self._elements = tuple(map(_unpack, _packed_elements(self)))
+            self._elements = tuple(map(_unpack, sorted(self.conjugacy_classes()._index)))
         return self._elements
 
     def conjugacy_classes(self) -> "ConjugacyClassSet":
@@ -446,9 +438,13 @@ class ConjugacyClassSet:
 
     Representatives are the lexicographically smallest element of each class;
     classes are sorted by (element order, class size, representative).
+
+    ``power_columns[i]`` holds the class index of rep**t for t < o(rep), from
+    repeated packed products with rep; power maps, inverse, root and rational
+    classes and the character-table lift all read it.
     """
 
-    __slots__ = ("group", "classes", "_index", "_position", "_pm_cache", "exponent")
+    __slots__ = ("group", "classes", "_index", "_position", "power_columns", "exponent")
 
     def __init__(
         self, group: Group, classes: Sequence[ConjugacyClass], index: dict, position: Sequence[int]
@@ -460,7 +456,15 @@ class ConjugacyClassSet:
         self._index = index
         self._position = tuple(position)
         self.exponent = math.lcm(*(cl.order for cl in self.classes))
-        self._pm_cache: dict[int, tuple[int, ...]] = {}
+        # rep**(t + 1) = rep * rep**t is one packed product with rep's table
+        one, compose, pad = group._pack(range(group.degree)), group._compose, group._pad
+        position, found = self._position.__getitem__, index.__getitem__
+        columns = []
+        for cl in self.classes:
+            rep_table = group._pack(cl.rep.img) + pad
+            powers = accumulate(repeat(rep_table, cl.order - 1), compose, initial=one)
+            columns.append(tuple(map(position, map(found, powers))))
+        self.power_columns = tuple(columns)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -477,13 +481,8 @@ class ConjugacyClassSet:
         raise NotInGroupError(f"{x!r} is not in the group")
 
     def power_map(self, m: int) -> tuple[int, ...]:
-        """Class index of rep**m for each class; depends only on m mod exponent."""
-        key = m % self.exponent
-        pm = self._pm_cache.get(key)
-        if pm is None:
-            pm = tuple(self.position_of(cl.rep**key) for cl in self.classes)
-            self._pm_cache[key] = pm
-        return pm
+        """Class index of rep**m for each class, read off the power columns."""
+        return tuple(col[m % len(col)] for col in self.power_columns)
 
     def inverse_map(self) -> tuple[int, ...]:
         return self.power_map(-1)
@@ -502,28 +501,11 @@ class ConjugacyClassSet:
 
 def _checked_order(G: Group) -> int:
     """|G|, or ResourceLimitError when it exceeds the enumeration limit."""
-    limit = _enum_limit(G._enum_limit)
+    limit = env_max_order(DEFAULT_ENUM_LIMIT)
     n = G.order()
     if n > limit:
         raise ResourceLimitError(f"group order {n} exceeds enumeration limit {limit}", limit)
     return n
-
-
-def _packed_elements(G: Group) -> list:
-    """All elements of G packed, sorted (so in image-tuple order)."""
-    _checked_order(G)
-    compose = G._compose
-    tables = [g_table for _, g_table in G._conj]
-    todo = [G._pack(range(G.degree))]
-    seen = set(todo)
-    for x in todo:
-        for t in tables:
-            y = compose(x, t)
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    todo.sort()
-    return todo
 
 
 def _conjugation_orbit(G: Group, x) -> dict:
@@ -646,7 +628,7 @@ def centralizer(G: Group, z: Permutation) -> Group:
         if chain.extend(s):
             gens.append(s)
     name = f"C_{G.name or 'G'}({z.cycle_string()})"
-    C = Group(G.degree, gens, name=name, enum_limit=G._enum_limit)
+    C = Group(G.degree, gens, name=name)
     C._chain = chain
     return C
 
@@ -664,17 +646,18 @@ def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation
 def rational_classes(G: Group) -> tuple[tuple[int, ...], ...]:
     """Partition of class indices into rational classes (Galois fusion).
 
-    The cell of class c is {class of rep(c)**r : gcd(r, o(c)) = 1}, which is
-    closed under the same map, as its members are conjugate to such powers.
+    The cell of class c is {class of rep(c)**r : gcd(r, o(c)) = 1}, read off
+    c's power column; it is closed under the same map, as its members are
+    conjugate to such powers.
     """
     cs = G.conjugacy_classes()
     assigned = [False] * len(cs)
     cells = []
-    for i, cl in enumerate(cs.classes):
+    for i, col in enumerate(cs.power_columns):
         if assigned[i]:
             continue
-        o = cl.order
-        cell = sorted({cs.power_map(r)[i] for r in range(1, o + 1) if math.gcd(r, o) == 1})
+        o = len(col)
+        cell = sorted({col[r] for r in range(o) if math.gcd(r, o) == 1})
         for c in cell:
             assigned[c] = True
         cells.append(tuple(cell))
@@ -701,7 +684,7 @@ def restricted_normalizer(G: Group, g: Permutation, d: int) -> Group:
             if t is not None:
                 gens.append(t)
     name = f"N^{d}_{G.name or 'G'}({g.cycle_string()})"
-    return Group(G.degree, gens, name=name, enum_limit=G._enum_limit)
+    return Group(G.degree, gens, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,13 @@ def test_gamma_examples_and_backends():
             chars = gamma(S4, z_class, m, backend="characters")
             cmc = gamma(S4, z_class, m, backend="cmc")
             assert chars == cmc
-    with pytest.raises(ValueError):
-        gamma(S, 0, 2, backend="nope")
+    # an unknown backend is rejected before (z, m) is reduced: a table case,
+    # the delta case and the zero case
+    assert reduce_gamma_params(S, 0, 1).kind == "delta"
+    assert reduce_gamma_params(S, 1, 2).kind == "zero"
+    for z_class, m in ((0, 2), (0, 1), (1, 2)):
+        with pytest.raises(ValueError, match="unknown gamma backend"):
+            gamma(S, z_class, m, backend="nope")
 
 
 def test_gamma_matches_naive_counts():
@@ -404,7 +409,7 @@ def test_class_level_path_never_enumerates(monkeypatch):
     def no_enumeration(G):
         raise AssertionError(f"{G!r} enumerated")
 
-    monkeypatch.setattr(fszd.permcore, "_packed_elements", no_enumeration)
+    monkeypatch.setattr(fszd.permcore.Group, "elements", no_enumeration)
     for spec in ("S6", "C2xS5"):
         S = Session(construct_group(spec))
         all_indicators(S)
@@ -742,6 +747,32 @@ def test_fsz_d_parameter():
     assert fsz_test(get_group("Q8"), d=2).verdict
     with pytest.raises(BadDivisorError):
         fsz_test(get_group("S3"), d=0)
+
+
+# fsz-decide cases of the benchmark corpus (group, d)
+FSZ_DECIDE_CASES = (
+    ("C25", 1),
+    ("C5xC5", 5),
+    ("S7", 5),
+    ("C2xS5", 5),
+    ("A7", 7),
+    ("S8", 1),
+    ("Q8", 2),
+    (SL23_SPEC, 3),
+)
+
+
+def test_fsz_skip_rules_change_no_verdict(monkeypatch):
+    # with no gcd value treated as forcing rationality, fsz_test checks every
+    # beta the skip rules leave out; the verdicts must not move
+    cases = FSZ_DECIDE_CASES + tuple((spec, 1) for spec in ACCEPTANCE_SPECS)
+    sessions = [Session(construct_group(spec)) for spec, _ in cases]
+    skipped = [fsz_test(S, d) for S, (_, d) in zip(sessions, cases)]
+    monkeypatch.setattr(fszd.indicators, "_SMALL", frozenset())
+    unskipped = [fsz_test(S, d) for S, (_, d) in zip(sessions, cases)]
+    assert [r.verdict for r in unskipped] == [r.verdict for r in skipped]
+    assert all(u.betas_checked >= s.betas_checked for u, s in zip(unskipped, skipped))
+    assert sum(u.betas_checked for u in unskipped) > sum(s.betas_checked for s in skipped)
 
 
 def test_fsz_matches_full_rationality():

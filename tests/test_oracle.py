@@ -139,6 +139,7 @@ def test_commuting_pair_table_checks_orbit_sizes(monkeypatch):
     # a wrong |G| breaks the orbit-stabilizer count; the check must raise
     # even under python -O
     G = construct_group("S3")
+    G.elements()  # the class walk checks |G| too; let it run on the true order
     monkeypatch.setattr(G, "order", lambda: 7)
     with pytest.raises(InvariantError, match="commuting pairs"):
         commuting_pair_table(G)

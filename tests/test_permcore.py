@@ -22,7 +22,7 @@ from fszd import (
     rational_classes,
     restricted_normalizer,
 )
-from fszd.chartab import _class_matrix, class_mult_coeff
+from fszd.chartab import _class_matrix_rows, class_mult_coeff
 from fszd import permcore
 from fszd.permcore import StabilizerChain, _transversal
 
@@ -454,7 +454,11 @@ def _check_packed_paths(G):
         assert cl.orbit[root] == -1
         for y in cl.orbit:
             assert _transversal(G, cl.orbit, y).conj(Permutation(root)).img == tuple(y)
-        assert _class_matrix(cs, i) == _class_matrix_reference(cs, i)
+        nonzeros = [[(l, v) for l, v in enumerate(row) if v] for row in _class_matrix_reference(cs, i)]
+        assert _class_matrix_rows(cs, i) == nonzeros
+        assert len(cs.power_columns[i]) == cl.order
+        for t in range(cl.order):
+            assert cs.power_map(t)[i] == cs.position_of(cl.rep**t)
     k = len(cs)
     counts = _class_mult_coeffs_reference(cs)
     for a in range(k):
