@@ -405,9 +405,9 @@ def fsz_test(G: Group | Session, d: int = 1) -> FszResult:
     per the reduction lemmas requires gcd(m, o(z)) outside {1, 2, 3, 4, 6};
     m runs over the divisors of exp(C_G(z))/o(z).
     """
-    session = G if isinstance(G, Session) else Session(G)
     if d < 1:
         raise BadDivisorError("d must be a positive integer")
+    session = G if isinstance(G, Session) else Session(G)
     checked = 0
     for cell in rational_classes(session.group):
         z_class = cell[0]

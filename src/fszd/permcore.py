@@ -15,8 +15,9 @@ it, off which centralizers, conjugators and restricted normalizers are read,
 and with a power column (the classes of rep**t, t < o(rep)) that answers
 every power question.
 
-The element-level loops (the class walk, conjugation orbits, power columns,
-class products) run on packed images instead of ``Permutation`` objects.
+The element-level loops (the stabilizer chain, the class walk, conjugation
+orbits, centralizers' Schreier generators, power columns, class products) run
+on packed images instead of ``Permutation`` objects.
 Up to 256 points an element is ``bytes(img)``: ``t * x`` is
 ``x.translate(t + pad)``, where ``pad`` extends t's image by the identity to
 all 256 byte values, so the product runs in C and the packed element hashes
@@ -24,8 +25,9 @@ once and sorts in the order of its image tuple.  Above 256 points, where a
 byte cannot hold a point, an element is its image tuple and ``t * x`` is
 ``tuple(map(t.__getitem__, x))`` with an empty ``pad``.  The degree alone
 picks the packing (``_packing``); ``Permutation`` objects are made only at
-the boundary: class representatives, transversal elements and
-``Group.elements()``.
+the boundary: class representatives, centralizer generators, conjugators,
+``Group.elements()`` and the arguments and residues of the chain's
+``extend``, ``strip`` and ``contains``.
 """
 from __future__ import annotations
 
@@ -202,43 +204,64 @@ class _Level:
     def __init__(self, point: int):
         self.point = point
         # generators first installed at this level (they fix all earlier base
-        # points and move this one); the effective generating set of the level
-        # is the union over this and all deeper levels
-        self.new_gens: list[Permutation] = []
-        self.orbit: dict[int, tuple[Permutation, Permutation]] = {}
+        # points and move this one), as padded tables (g, g^-1); the effective
+        # generating set of the level is the union over this and all deeper levels
+        self.new_gens: list[tuple] = []
+        # orbit point p -> (u, u^-1) with u(point) = p: u packed, u^-1 a padded table
+        self.orbit: dict[int, tuple] = {}
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims chain (bottom-up verification, no randomness)."""
+    """Deterministic Schreier-Sims chain (bottom-up verification, no randomness).
+
+    The chain runs on packed elements (see ``_packing``): each strong
+    generator is kept with its inverse as padded tables, each transversal
+    element packed with its inverse as a padded table, so every product in
+    ``_strip``, ``_rebuild_orbit`` and ``_verify_level`` is one ``compose``
+    and the identity test is ``== one``.  A strong generator's inverse is
+    read off its image once, when it is installed; a transversal inverse is
+    the product of stored inverses, (g * u)^-1 = u^-1 * g^-1.
+    ``Permutation``s are made only at the boundary: ``extend``, ``strip``
+    and ``contains``.
+    """
 
     def __init__(self, generators: Sequence[Permutation], degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._pack, self._compose, self._pad = _packing(degree)
+        self._one = self._pack(range(degree))
         for g in generators:
             self.extend(g)
 
     def extend(self, g: Permutation) -> bool:
         """Add g to the chain's group; False when g is already a member."""
-        residue, j = self.strip(g)
-        if residue.is_identity():
+        return self._extend(self._pack(g.img))
+
+    def _extend(self, x) -> bool:
+        residue, j = self._strip(x)
+        if residue == self._one:
             return False
         self._add_at(residue, j)
         self._verify_all(j)
         return True
 
     def strip(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
+        residue, i = self._strip(self._pack(g.img), start)
+        return _unpack(residue), i
+
+    def _strip(self, x, start: int = 0) -> tuple:
+        compose = self._compose
         i = start
         for level in self.levels[start:]:
-            p = g.img[level.point]
-            entry = level.orbit.get(p)
+            entry = level.orbit.get(x[level.point])
             if entry is None:
-                return g, i
-            g = entry[1] * g
+                return x, i
+            x = compose(x, entry[1])  # u^-1 * x
             i += 1
-        return g, i
+        return x, i
 
     def contains(self, g: Permutation) -> bool:
-        return self.strip(g)[0].is_identity()
+        return self._strip(self._pack(g.img))[0] == self._one
 
     def order(self) -> int:
         out = 1
@@ -246,32 +269,34 @@ class StabilizerChain:
             out *= len(level.orbit)
         return out
 
-    def _gens_at(self, i: int) -> list[Permutation]:
-        """All strong generators fixing the first i base points."""
+    def _gens_at(self, i: int) -> list[tuple]:
+        """All strong generators fixing the first i base points, as (g, g^-1) tables."""
         return [g for level in self.levels[i:] for g in level.new_gens]
 
     def _rebuild_orbit(self, i: int) -> None:
         level = self.levels[i]
         gens = self._gens_at(i)
-        ident = Permutation.identity(self.degree)
-        orbit = {level.point: (ident, ident)}
+        compose, one = self._compose, self._one
+        orbit = {level.point: (one, one + self._pad)}
         queue = deque([level.point])
         while queue:
             p = queue.popleft()
-            u = orbit[p][0]
-            for g in gens:
-                q = g.img[p]
+            u, u_inv = orbit[p]
+            for g, g_inv in gens:
+                q = g[p]
                 if q not in orbit:
-                    t = g * u
-                    orbit[q] = (t, t.inverse())
+                    # g * u, and its inverse u^-1 * g^-1 as a padded table
+                    orbit[q] = (compose(u, g), compose(g_inv, u_inv))
                     queue.append(q)
         level.orbit = orbit
 
-    def _add_at(self, residue: Permutation, j: int) -> None:
+    def _add_at(self, residue, j: int) -> None:
         if j == len(self.levels):
-            base = min(p for p in range(self.degree) if residue.img[p] != p)
+            base = min(p for p in range(self.degree) if residue[p] != p)
             self.levels.append(_Level(base))
-        self.levels[j].new_gens.append(residue)
+        # sorting the points by their images puts i at position residue[i]
+        inverse = self._pack(sorted(range(self.degree), key=residue.__getitem__))
+        self.levels[j].new_gens.append((residue + self._pad, inverse + self._pad))
         # the new generator belongs to every level <= j, so refresh their orbits
         for i in range(j, -1, -1):
             self._rebuild_orbit(i)
@@ -279,16 +304,17 @@ class StabilizerChain:
     def _verify_level(self, i: int) -> int | None:
         """Check all Schreier generators of level i; on a failure, install the
         stripped residue at the level where sifting stopped and return it."""
-        level = self.levels[i]
-        gens = self._gens_at(i)
-        for p in sorted(level.orbit):
-            u = level.orbit[p][0]
-            for gen in gens:
-                s = level.orbit[gen.img[p]][1] * (gen * u)
-                if s.is_identity():
+        orbit = self.levels[i].orbit
+        gens = [g for g, _ in self._gens_at(i)]
+        compose, one = self._compose, self._one
+        for p in sorted(orbit):
+            u = orbit[p][0]
+            for g in gens:
+                s = compose(compose(u, g), orbit[g[p]][1])  # u_{g(p)}^-1 * g * u
+                if s == one:
                     continue
-                residue, j = self.strip(s, i + 1)
-                if residue.is_identity():
+                residue, j = self._strip(s, i + 1)
+                if residue == one:
                     continue
                 self._add_at(residue, j)
                 return j
@@ -351,10 +377,11 @@ class Group:
         self.generators = tuple(gens)
         self.name = name
         # conjugation by generator i of a packed y is compose(compose(a, y + pad), b)
-        # with (a, b) = _conj[i]; by its inverse, with (a, b) = _inverse_conj[i]
+        # with (i, a, b) in _conj (b is generator i's padded table); by its
+        # inverse, with (a, b) = _inverse_conj[i]
         self._pack, self._compose, self._pad = _packing(degree)
         packed = [(self._pack(g.img), self._pack(g.inverse().img)) for g in gens]
-        self._conj = tuple((ginv, g + self._pad) for g, ginv in packed)
+        self._conj = tuple((i, ginv, g + self._pad) for i, (g, ginv) in enumerate(packed))
         self._inverse_conj = tuple((g, ginv + self._pad) for g, ginv in packed)
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
@@ -511,30 +538,33 @@ def _checked_order(G: Group) -> int:
 def _conjugation_orbit(G: Group, x) -> dict:
     """The class of packed x as a Schreier vector: each conjugate maps to the
     index of the generator that first reached it (breadth first), x to -1."""
-    compose, pad = G._compose, G._pad
+    compose, pad, conj = G._compose, G._pad, G._conj
     orbit = {x: -1}
     todo = [x]
+    push = todo.append
     for y in todo:
         y_table = y + pad
-        for i, (a, b) in enumerate(G._conj):
+        for i, a, b in conj:
             z = compose(compose(a, y_table), b)
             if z not in orbit:
                 orbit[z] = i
-                todo.append(z)
+                push(z)
     return orbit
 
 
-def _transversal(G: Group, orbit: dict, y) -> Permutation:
-    """The t in G with t.conj(root) == y for packed y, read off the Schreier vector."""
+def _transversal(G: Group, orbit: dict, y) -> tuple:
+    """Packed (t, t^-1) for the t in G with t.conj(root) == y, packed y,
+    read off the Schreier vector."""
     compose, pad = G._compose, G._pad
-    t = G._pack(range(G.degree))
+    t = t_inv = G._pack(range(G.degree))
     i = orbit[y]
     while i >= 0:
         g, ginv_table = G._inverse_conj[i]
         t = compose(g, t + pad)  # t * g
+        t_inv = compose(t_inv, ginv_table)  # g^-1 * t^-1
         y = compose(compose(g, y + pad), ginv_table)
         i = orbit[y]
-    return _unpack(t)
+    return t, t_inv
 
 
 def _compute_classes(G: Group) -> ConjugacyClassSet:
@@ -552,7 +582,7 @@ def _compute_classes(G: Group) -> ConjugacyClassSet:
     """
     n = _checked_order(G)
     compose = G._compose
-    tables = [g_table for _, g_table in G._conj]
+    tables = [g_table for _, _, g_table in G._conj]
     orbits: list[dict] = []
     index: dict = {}  # packed element -> position of its class in orbits
     # the products g * y leaving the covered set; it reads orbits and index as they grow
@@ -562,7 +592,7 @@ def _compute_classes(G: Group) -> ConjugacyClassSet:
     x = G._pack(range(G.degree))
     while True:
         orbit = _conjugation_orbit(G, x)
-        index.update(dict.fromkeys(orbit, len(orbits)))
+        index.update(zip(orbit, repeat(len(orbits))))
         orbits.append(orbit)
         if len(index) == n:
             break
@@ -603,7 +633,8 @@ def centralizer(G: Group, z: Permutation) -> Group:
     When G's classes are already computed, the stored Schreier vector of
     z's class is that orbit and is reused.  Its Schreier generators fix the
     orbit's root, so each is conjugated by the transversal element t with
-    t.conj(root) == z (the identity when z is the root).
+    t.conj(root) == z (the identity when z is the root).  They are built
+    packed, and only those the chain keeps are unpacked.
     """
     if z not in G:
         raise NotInGroupError("centralizer: element is not in the group")
@@ -611,22 +642,30 @@ def centralizer(G: Group, z: Permutation) -> Group:
     x = G._pack(z.img)
     cs = G._classes
     orbit = cs.classes[cs.position_of(z)].orbit if cs is not None else _conjugation_orbit(G, x)
-    t = _transversal(G, orbit, x)
+    t, t_inv = _transversal(G, orbit, x)
+    t_table = t + pad
     target = G.order() // len(orbit)
+
+    def schreier_generator(y, g_table, w):
+        # t * T(w)^-1 * g * T(y) * t^-1, composed right to left
+        s = compose(t_inv, _transversal(G, orbit, y)[0] + pad)
+        s = compose(compose(s, g_table), _transversal(G, orbit, w)[1] + pad)
+        return compose(s, t_table)
+
     # (y, g_i) is an edge of the Schreier tree when g_i reached g_i.conj(y)
     # from y; its Schreier generator is 1 and is skipped
     schreier = (
-        t.conj(_transversal(G, orbit, w).inverse() * g * _transversal(G, orbit, y))
+        schreier_generator(y, b, w)
         for y in orbit
-        for i, (g, (a, b)) in enumerate(zip(G.generators, G._conj))
+        for i, a, b in G._conj
         if orbit[w := compose(compose(a, y + pad), b)] != i
     )
     gens: list[Permutation] = []
     chain = StabilizerChain(gens, G.degree)
     while chain.order() < target:
         s = next(schreier)
-        if chain.extend(s):
-            gens.append(s)
+        if chain._extend(s):
+            gens.append(_unpack(s))
     name = f"C_{G.name or 'G'}({z.cycle_string()})"
     C = Group(G.degree, gens, name=name)
     C._chain = chain
@@ -640,7 +679,9 @@ def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation
     if cs.position_of(b) != i:
         return None
     orbit = cs.classes[i].orbit
-    return _transversal(G, orbit, G._pack(b.img)) * _transversal(G, orbit, G._pack(a.img)).inverse()
+    t_b = _transversal(G, orbit, G._pack(b.img))[0]
+    t_a_inv = _transversal(G, orbit, G._pack(a.img))[1]
+    return _unpack(G._compose(t_a_inv, t_b + G._pad))  # T(b) * T(a)^-1
 
 
 def rational_classes(G: Group) -> tuple[tuple[int, ...], ...]:

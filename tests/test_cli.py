@@ -91,6 +91,12 @@ def test_fsz_exit_codes(capsys):
     assert code == 0 and "FSZ_5: true" in out
 
 
+def test_fsz_bad_d_exit_2_before_classes(capsys):
+    code, out, err = run(capsys, "fsz", "--group", "S12", "--d", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "d must be a positive integer" in err
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "fsz", "--group", "Z99")
     assert code == 2 and "error" in err

@@ -749,6 +749,17 @@ def test_fsz_d_parameter():
         fsz_test(get_group("S3"), d=0)
 
 
+def test_fsz_rejects_d_before_computing_classes():
+    # S12 is beyond the enumeration limit, so any class computation would
+    # raise ResourceLimitError before the divisor was looked at
+    for spec in ("S8", "S12"):
+        G = construct_group(spec)
+        for d in (0, -3):
+            with pytest.raises(BadDivisorError, match="d must be a positive integer"):
+                fsz_test(G, d=d)
+        assert G._classes is None
+
+
 # fsz-decide cases of the benchmark corpus (group, d)
 FSZ_DECIDE_CASES = (
     ("C25", 1),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -186,6 +187,160 @@ def test_stabilizer_chain_extend():
     assert not chain.extend(t) and not chain.extend(Permutation.identity(5))
     assert chain.extend(c) and chain.order() == 120
     assert chain.order() == StabilizerChain([c, t], 5).order()
+
+
+class _ReferenceChain:
+    """The Permutation-based Schreier-Sims chain the packed one replaced, kept
+    as a test reference: same base points, strong generators, orbit order and
+    transversals, with every product a ``Permutation.__mul__``."""
+
+    def __init__(self, generators, degree):
+        self.degree = degree
+        self.levels = []  # [point, new_gens, orbit: point -> (u, u^-1)]
+        for g in generators:
+            self.extend(g)
+
+    def extend(self, g):
+        residue, j = self.strip(g)
+        if residue.is_identity():
+            return False
+        self._add_at(residue, j)
+        self._verify_all(j)
+        return True
+
+    def strip(self, g, start=0):
+        i = start
+        for point, _, orbit in self.levels[start:]:
+            entry = orbit.get(g.img[point])
+            if entry is None:
+                return g, i
+            g = entry[1] * g
+            i += 1
+        return g, i
+
+    def _gens_at(self, i):
+        return [g for _, new_gens, _ in self.levels[i:] for g in new_gens]
+
+    def _rebuild_orbit(self, i):
+        point, gens = self.levels[i][0], self._gens_at(i)
+        ident = Permutation.identity(self.degree)
+        orbit = {point: (ident, ident)}
+        queue = [point]
+        for p in queue:
+            u = orbit[p][0]
+            for g in gens:
+                q = g.img[p]
+                if q not in orbit:
+                    t = g * u
+                    orbit[q] = (t, t.inverse())
+                    queue.append(q)
+        self.levels[i][2] = orbit
+
+    def _add_at(self, residue, j):
+        if j == len(self.levels):
+            base = min(p for p in range(self.degree) if residue.img[p] != p)
+            self.levels.append([base, [], {}])
+        self.levels[j][1].append(residue)
+        for i in range(j, -1, -1):
+            self._rebuild_orbit(i)
+
+    def _verify_level(self, i):
+        orbit = self.levels[i][2]
+        for p in sorted(orbit):
+            u = orbit[p][0]
+            for gen in self._gens_at(i):
+                s = orbit[gen.img[p]][1] * (gen * u)
+                if s.is_identity():
+                    continue
+                residue, j = self.strip(s, i + 1)
+                if residue.is_identity():
+                    continue
+                self._add_at(residue, j)
+                return j
+        return None
+
+    def _verify_all(self, i):
+        while i >= 0:
+            j = self._verify_level(i)
+            i = i - 1 if j is None else j
+
+
+def _check_chain_against_reference(G):
+    n = G.degree
+    chain, ref = G.chain(), _ReferenceChain(G.generators, n)
+    assert [level.point for level in chain.levels] == [point for point, _, _ in ref.levels]
+    for level, (_, ref_gens, ref_orbit) in zip(chain.levels, ref.levels):
+        # strong generators and transversal inverses are padded tables
+        assert [(tuple(g[:n]), tuple(g_inv[:n])) for g, g_inv in level.new_gens] == [
+            (g.img, g.inverse().img) for g in ref_gens
+        ]
+        assert list(level.orbit) == list(ref_orbit)
+        for p, (u, u_inv) in level.orbit.items():
+            assert (tuple(u), tuple(u_inv[:n])) == (ref_orbit[p][0].img, ref_orbit[p][1].img)
+    assert chain.order() == G.order()
+    # members sift to 1; products with a transposition of S_n need not be members
+    members = [G.identity, *G.generators]
+    members += [a * b for a in members for b in members]
+    others = [Permutation.from_cycles(n, [(i, i + 1)]) * x for i in range(1, n) for x in members]
+    for x in members + others:
+        residue, j = chain.strip(x)
+        assert (residue, j) == ref.strip(x)
+        assert chain.contains(x) == residue.is_identity() == (x in G)
+    assert all(chain.contains(x) for x in members)
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
+def test_packed_chain_matches_reference(spec):
+    _check_chain_against_reference(get_group(spec))
+
+
+@given(two_generator_groups())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_packed_chain_matches_reference_random(G):
+    _check_chain_against_reference(G)
+
+
+def test_packed_chain_matches_reference_above_256_points():
+    G = construct_group("perm:(297,298);(297,298,299,300)", max_degree=300)
+    assert isinstance(G.chain().levels[0].orbit[G.chain().levels[0].point][0], tuple)
+    _check_chain_against_reference(G)
+
+
+# sha256 of the centralizer generators over every class, as the
+# Permutation-based chain and Schreier generators produced them
+CENTRALIZER_DIGESTS = {
+    "S7": "4188384c3e8b15a74161217a08adb2857fc9a8e4122458475e7d278086cee9cf",
+    "C2xS5": "7dbffb3a541697b8f66517a2ad4dd413113751db6fccf6d73002a2cd35d4c3cb",
+    SL23_SPEC: "369bbe68a959997adad1912ff7679aabf14725a3643bad86f2efd6c4c639d198",
+    "C5xC5": "997d04c86e58c69220f6da2ac8aba5863f8088175e25df0fc4a09b27d96462b3",
+    "Q8xC3": "2227d66a796a5ababe9213f36b18534d08855a938024a8045dd161fb79d7c287",
+}
+
+
+@pytest.mark.parametrize("spec", list(CENTRALIZER_DIGESTS))
+def test_centralizer_generators_pinned(spec):
+    G = construct_group(spec)
+    h = hashlib.sha256()
+    for cl in G.conjugacy_classes():
+        for g in centralizer(G, cl.rep).generators:
+            h.update(repr(g.img).encode())
+        h.update(b";")
+    assert h.hexdigest() == CENTRALIZER_DIGESTS[spec]
+
+
+def test_chain_and_centralizers_never_multiply_permutations(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("Permutation product on the packed path")
+
+    monkeypatch.setattr(Permutation, "__mul__", no_product)
+    monkeypatch.setattr(Permutation, "conj", no_product)
+    for spec in ("S6", "C2xS5"):
+        G = construct_group(spec)
+        assert G.order() == math.factorial(6) // (1 if spec == "S6" else 3)
+        for cl in G.conjugacy_classes():
+            assert cl.rep in G
+            C = centralizer(G, cl.rep)
+            assert C.order() * cl.size == G.order()
 
 
 def test_subgroup_membership():
@@ -453,7 +608,8 @@ def _check_packed_paths(G):
         root = next(iter(cl.orbit))
         assert cl.orbit[root] == -1
         for y in cl.orbit:
-            assert _transversal(G, cl.orbit, y).conj(Permutation(root)).img == tuple(y)
+            t, t_inv = map(Permutation, _transversal(G, cl.orbit, y))
+            assert t.conj(Permutation(root)).img == tuple(y) and (t * t_inv).is_identity()
         nonzeros = [[(l, v) for l, v in enumerate(row) if v] for row in _class_matrix_reference(cs, i)]
         assert _class_matrix_rows(cs, i) == nonzeros
         assert len(cs.power_columns[i]) == cl.order
