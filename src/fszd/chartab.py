@@ -18,13 +18,27 @@ taken in O(d^3) through Hessenberg form (``_charpoly_mod``).  The
 multiplicity lift of a value is a function of its GF(p) column alone, so
 each distinct column is lifted and checked once per table; a Galois
 conjugate of a character repeats that character's columns at other classes.
-Every table then passes an exact self-check of degrees and row
-orthonormality.
+
+A group whose generators have r >= 2 nontrivial orbits O_1..O_r, with |G|
+the product of the orders of the groups G_i they induce on the orbits, is
+the direct product of the G_i: restriction to the orbits is injective, and
+equal orders make it onto.  Its classes are the tuples of classes of the
+G_i and its irreducibles the products chi_1 x ... x chi_r (Isaacs,
+*Character Theory of Finite Groups*, Thm 4.21), so its table is read off
+the factors' tables instead of Dixon-Schneider; the class map must be a
+size- and order-preserving bijection.  Every table, a product one too,
+then passes an exact self-check of degrees and row orthonormality.
+
+The self-check's inner products and ``class_sum`` run on integer forms of
+the values (``_integer_forms``); when every value is rational, as in every
+table of S_n, the sum is one plain integer sum and ``_dot`` is skipped.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import product
+from operator import attrgetter, mul
 from typing import Sequence
 
 from ._nt import divisors, is_prime, modinv, primitive_root, tonelli_sqrt
@@ -48,7 +62,7 @@ class ClassFunction:
         self.values = vals
         self._ints = None
 
-    def _integer_form(self) -> tuple[int, tuple]:
+    def _integer_form(self) -> tuple[int, tuple, bool]:
         """``_integer_forms`` of the values, cached as values never change."""
         if self._ints is None:
             self._ints = _integer_forms(self.values)
@@ -97,19 +111,22 @@ class ClassFunction:
         return f"ClassFunction{list(self.values)!r}"
 
 
-def _integer_forms(values: Sequence[Cyclotomic]) -> tuple[int, tuple]:
-    """(D, forms) with D the lcm of the values' denominators and one form per
-    value v: the int D*v when v is rational, else (conductor, ((j, c), ...))
-    with D*v = sum of c * zeta^j over the nonzero power-basis numerators."""
+def _integer_forms(values: Sequence[Cyclotomic]) -> tuple[int, tuple, bool]:
+    """(D, forms, rational) with D the lcm of the values' denominators, one
+    form per value v: the int D*v when v is rational, else
+    (conductor, ((j, c), ...)) with D*v = sum of c * zeta^j over the nonzero
+    power-basis numerators; rational says whether every form is an int."""
     den = math.lcm(*(v.den for v in values))
     forms = []
+    rational = True
     for v in values:
         s = den // v.den
         if v.conductor == 1:
             forms.append(v.nums[0] * s)
         else:
+            rational = False
             forms.append((v.conductor, tuple((j, c * s) for j, c in enumerate(v.nums) if c)))
-    return den, tuple(forms)
+    return den, tuple(forms), rational
 
 
 def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
@@ -159,19 +176,27 @@ def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum over classes of |class| * f * conj(g), exact, through
-    ``_dot`` on the integer forms of f and g: no Fraction is built."""
+    """(1/|G|) sum over classes of |class| * f * conj(g), exact, on the
+    integer forms of f and g: no Fraction is built.  Two rational rows sum
+    as plain ints; any other pair goes through ``_dot``."""
     f._check_same(g)
-    df, fv = f._integer_form()
-    dg, gv = g._integer_form()
-    sizes = (cl.size for cl in f.classes.classes)
-    return _dot(zip(sizes, fv, gv), f.classes.group.order() * df * dg, conj=True)
+    df, fv, f_rational = f._integer_form()
+    dg, gv, g_rational = g._integer_form()
+    sizes = map(attrgetter("size"), f.classes.classes)
+    den = f.classes.group.order() * df * dg
+    if f_rational and g_rational:
+        return Cyclotomic._normal(1, den, (sum(map(mul, sizes, map(mul, fv, gv))),))
+    return _dot(zip(sizes, fv, gv), den, conj=True)
 
 
 def class_sum(f: ClassFunction, weights: dict[int, int], den: int = 1) -> Cyclotomic:
     """(1/den) * sum of w * f(c) over the (class index c, int w) items of
-    weights, exact, through ``_dot`` on the integer form of f."""
-    d, forms = f._integer_form()
+    weights, exact, on the integer form of f: a plain int sum when f is
+    rational, else through ``_dot``."""
+    d, forms, rational = f._integer_form()
+    if rational:
+        total = sum(map(mul, weights.values(), map(forms.__getitem__, weights)))
+        return Cyclotomic._normal(1, den * d, (total,))
     return _dot(((w, forms[c], 1) for c, w in weights.items()), den * d)
 
 
@@ -193,22 +218,27 @@ class CharacterTable:
         self.classes = classes
         self.irreducibles = tuple(irreducibles)
         self.conductor = classes.exponent
-        self._by_values = {cf.values: i for i, cf in enumerate(self.irreducibles)}
+        self._by_values = None  # value vector -> row index, built on first lookup
 
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(cf.degree().as_integer() for cf in self.irreducibles)
 
+    def _row_index(self) -> dict:
+        if self._by_values is None:
+            self._by_values = {cf.values: i for i, cf in enumerate(self.irreducibles)}
+        return self._by_values
+
     def index_of(self, cf: ClassFunction) -> int:
         """Index of an irreducible with the same value vector."""
         try:
-            return self._by_values[cf.values]
+            return self._row_index()[cf.values]
         except KeyError:
             raise ValueError("not an irreducible of this table") from None
 
     def trivial_index(self) -> int:
         one = tuple(Cyclotomic.rational(1) for _ in range(len(self.classes)))
-        return self._by_values[one]
+        return self._row_index()[one]
 
     def to_json_dict(self) -> dict:
         exp = self.classes.exponent
@@ -426,11 +456,117 @@ def _split_eigenspaces(
 
 
 def character_table(G: Group) -> CharacterTable:
-    """Exact character table of G (cached on the group object)."""
+    """Exact character table of G (cached on the group object): the product
+    of its orbit factors' tables when G is their direct product (see
+    ``_orbit_factors``), else by Dixon-Schneider; self-checked either way."""
     if G._chartab is not None:
         return G._chartab
-    n = G.order()
     cs = G.conjugacy_classes()
+    factors = _orbit_factors(G)
+    rows = _product_rows(G, cs, factors) if factors else _dixon_schneider_rows(G, cs)
+    rows.sort(key=lambda cf: (cf.degree().as_integer(), [v.sort_key() for v in cf.values]))
+    table = CharacterTable(G, cs, rows)
+    _quick_check(table)
+    G._chartab = table
+    return table
+
+
+def _restrict(x: Permutation, orbit: Sequence[int]) -> Permutation:
+    """x on the points of an orbit of x's group, renumbered 0.. in the
+    orbit's order."""
+    img = x.img
+    at = {p: i for i, p in enumerate(orbit)}
+    return Permutation._raw(tuple(at[img[p]] for p in orbit))
+
+
+def _orbit_factors(G: Group) -> list[tuple[list[int], Group]] | None:
+    """(orbit, G_i) for each nontrivial orbit O_i of G's generators, its
+    points ascending and G_i the group they induce on it, when there are
+    at least two orbits and |G| is the product of the |G_i|; else None."""
+    seen = [False] * G.degree
+    orbits = []
+    for start in range(G.degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for p in orbit:
+            for g in G.generators:
+                q = g.img[p]
+                if not seen[q]:
+                    seen[q] = True
+                    orbit.append(q)
+        if len(orbit) > 1:
+            orbits.append(sorted(orbit))
+    if len(orbits) < 2:
+        return None
+    label = G.name or "G"
+    factors = [
+        (
+            orbit,
+            Group(
+                len(orbit),
+                [_restrict(g, orbit) for g in G.generators],
+                name=f"{label} on {{{','.join(str(p + 1) for p in orbit)}}}",
+            ),
+        )
+        for orbit in orbits
+    ]
+    if math.prod(H.order() for _, H in factors) != G.order():
+        return None
+    return factors
+
+
+def _class_map(cs: ConjugacyClassSet, factors, tables) -> list[tuple[int, ...]]:
+    """For each class of G, the class positions of its rep's restrictions
+    in the factors' tables."""
+    return [
+        tuple(t.classes.position_of(_restrict(cl.rep, orbit)) for (orbit, _), t in zip(factors, tables))
+        for cl in cs.classes
+    ]
+
+
+def _product_rows(G: Group, cs: ConjugacyClassSet, factors) -> list[ClassFunction]:
+    """The rows chi_1 x ... x chi_r of G = G_1 x ... x G_r, from the
+    factors' tables, over G's own classes.  The class map must be a
+    bijection onto the tuples of factor classes that multiplies class sizes
+    and takes the lcm of element orders, or TableComputationError names the
+    stage and the class."""
+    tables = [character_table(H) for _, H in factors]
+    coords = _class_map(cs, factors, tables)
+    where = f"{G!r} as a product of {len(tables)} orbit groups"
+    if len(cs) != math.prod(len(t.classes) for t in tables) or len(set(coords)) != len(cs):
+        raise TableComputationError(f"product class map is not a bijection ({where})")
+    for c, (cl, parts) in enumerate(zip(cs.classes, coords)):
+        fcls = [t.classes.classes[j] for t, j in zip(tables, parts)]
+        if cl.size != math.prod(f.size for f in fcls):
+            raise TableComputationError(f"product class size mismatch ({where}, class {c})")
+        if cl.order != math.lcm(*(f.order for f in fcls)):
+            raise TableComputationError(f"product element order mismatch ({where}, class {c})")
+    products: dict[tuple[Cyclotomic, Cyclotomic], Cyclotomic] = {}
+
+    def times(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+        v = products.get((a, b))
+        if v is None:
+            v = products[a, b] = a * b
+        return v
+
+    rows = []
+    for chis in product(*(t.irreducibles for t in tables)):
+        columns = [chi.values for chi in chis]
+        values = []
+        for parts in coords:
+            v = columns[0][parts[0]]
+            for col, j in zip(columns[1:], parts[1:]):
+                v = times(v, col[j])
+            values.append(v)
+        rows.append(ClassFunction(cs, values))
+    return rows
+
+
+def _dixon_schneider_rows(G: Group, cs: ConjugacyClassSet) -> list[ClassFunction]:
+    """The irreducible characters of G, unsorted, by Dixon-Schneider."""
+    n = G.order()
     k = len(cs)
     e = cs.exponent
     p = _choose_prime(e, n)
@@ -508,12 +644,7 @@ def character_table(G: Group) -> CharacterTable:
                 value = lifted[col] = from_root_combination(len(col), mults)
             values.append(value)
         rows.append(ClassFunction(cs, values))
-
-    rows.sort(key=lambda cf: (cf.degree().as_integer(), [v.sort_key() for v in cf.values]))
-    table = CharacterTable(G, cs, rows)
-    _quick_check(table)
-    G._chartab = table
-    return table
+    return rows
 
 
 def _quick_check(table: CharacterTable) -> None:

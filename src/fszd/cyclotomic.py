@@ -374,7 +374,8 @@ class Cyclotomic:
 
     def __hash__(self) -> int:
         if self.conductor == 1:
-            return hash(self.rational_value())
+            # equal to the hash of the int or Fraction of equal value
+            return hash(self.nums[0]) if self.den == 1 else hash(self.rational_value())
         return hash((self.conductor, self.den, self.nums))
 
     def __repr__(self) -> str:

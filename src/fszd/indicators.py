@@ -17,9 +17,10 @@ tables keyed by reduced parameters, mates and mu elements.
 Past the character tables every step is an exact dot product of table rows
 with integer or cyclotomic weights: phi and nu are ``class_sum``s of a row
 (nu folds the 1/|C_G(g)| into the denominator), and the characters backend
-of gamma sums beta_chi * chi(c) for each class c.  All of them run through
-chartab's integer kernel ``_dot``, which adds integer forms and
-canonicalizes once per result.
+of gamma sums beta_chi * chi(c) for each class c.  All of them run on
+integer forms of the rows: phi and nu of a rational row are one plain int
+sum, and every other sum goes through chartab's integer kernel ``_dot``,
+which canonicalizes once per result.
 
 The FSZ rationality test works from the beta coefficients alone and skips
 parameter combinations that are forced rational.
@@ -43,7 +44,7 @@ from .chartab import (
     class_mult_coeff,
     class_sum,
 )
-from .cyclotomic import Cyclotomic, ZERO, rationality
+from .cyclotomic import Cyclotomic, RationalityInfo, ZERO, rationality
 from .errors import BadDivisorError, InvariantError, NonCommutingPairError
 from .permcore import (
     ConjugacyClassSet,
@@ -260,10 +261,10 @@ def _character_sums(
     """sum over i of coeffs[i] * chi_i(c) for every class c of the table, one
     ``_dot`` per class on integer forms.  The rows must need no denominator,
     as character values are algebraic integers."""
-    den, forms = _integer_forms(coeffs)
+    den, forms, _ = _integer_forms(coeffs)
     rows = []
     for i, chi in enumerate(table.irreducibles):
-        d, row = chi._integer_form()
+        d, row, _ = chi._integer_form()
         if d != 1:
             raise InvariantError(f"{where}: character {i} has denominator {d}")
         rows.append(row)
@@ -639,8 +640,10 @@ def checked_ms(session: Session, ms: Iterable[int] | None) -> list[int]:
 
 
 def all_indicators(session: Session, ms: Iterable[int] | None = None) -> IndicatorReport:
-    """Indicators for every simple of D(G) and every requested divisor m."""
+    """Indicators for every simple of D(G) and every requested divisor m;
+    ``rationality`` runs once per distinct value."""
     m_list = checked_ms(session, ms)
+    infos: dict[Cyclotomic, RationalityInfo] = {}
     simples = []
     for g_class in range(len(session.classes)):
         table = session.centralizer_table(g_class)
@@ -649,7 +652,9 @@ def all_indicators(session: Session, ms: Iterable[int] | None = None) -> Indicat
             entries = []
             for m in m_list:
                 value = nu(session, g_class, eta_index, m)
-                info = rationality(value)
+                info = infos.get(value)
+                if info is None:
+                    info = infos[value] = rationality(value)
                 entries.append(
                     IndicatorEntry(m, value, info.is_rational, info.pretty, info.approx)
                 )

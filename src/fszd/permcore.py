@@ -711,10 +711,12 @@ def restricted_normalizer(G: Group, g: Permutation, d: int) -> Group:
     It is C_G(g) together with one element t conjugating g to each
     admissible power g^r in the class of g.
     """
+    if d < 1:
+        raise BadDivisorError("d must be a positive integer")
     if g not in G:
         raise NotInGroupError("restricted_normalizer: element is not in the group")
     exp = G.exponent()
-    if d < 1 or exp % d != 0:
+    if exp % d != 0:
         raise BadDivisorError(f"d={d} does not divide exp(G)={exp}")
     o = g.order()
     gens = list(centralizer(G, g).generators)

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fszd import (
@@ -31,7 +35,7 @@ from fszd import (
 from fszd.errors import InvariantError
 from fszd.indicators import _character_sums
 
-from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, is_normal_form
+from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, is_normal_form, two_generator_groups
 
 
 def test_degree_multisets():
@@ -459,13 +463,16 @@ def test_self_check_rejects_a_scaled_row():
 def test_self_check_takes_every_pair(monkeypatch):
     import fszd.chartab as chartab
 
+    # Q8xC3 is the product of its orbit groups, whose tables are checked as
+    # well; count the pairs on G's own class set
     calls = []
     inner = chartab.inner_product
-    monkeypatch.setattr(chartab, "inner_product", lambda f, g: calls.append(1) or inner(f, g))
+    monkeypatch.setattr(chartab, "inner_product", lambda f, g: calls.append(f.classes) or inner(f, g))
     G = construct_group("Q8xC3")
-    k = len(G.conjugacy_classes())
+    cs = G.conjugacy_classes()
+    k = len(cs)
     character_table(G)
-    assert len(calls) == k * (k + 1) // 2
+    assert sum(classes is cs for classes in calls) == k * (k + 1) // 2
 
 
 def test_non_residue_degree_raises_typed_error(monkeypatch):
@@ -574,3 +581,239 @@ def test_corrupted_lift_fails_the_self_check(monkeypatch, spec):
     with pytest.raises(TableComputationError):
         character_table(construct_group(spec))
     assert corrupted
+
+
+def test_row_index_is_built_on_first_lookup():
+    G = construct_group("S4")
+    table = character_table(G)
+    assert table._by_values is None
+    assert set(table.irreducibles[table.trivial_index()].values) == {Cyclotomic.rational(1)}
+    assert [table.index_of(cf) for cf in table.irreducibles] == list(range(len(table.irreducibles)))
+    with pytest.raises(ValueError, match="not an irreducible"):
+        table.index_of(table.irreducibles[1] * 2)
+
+
+def test_corrupted_rational_value_fails_the_integer_self_check(monkeypatch):
+    # every value of S4's table is rational, so the whole self-check runs on
+    # the plain integer sums and never reaches _dot
+    import fszd.chartab as chartab
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_dot used on a rational table")
+
+    real = chartab.from_root_combination
+    corrupted = []
+
+    def corrupt_first_off_identity(n, mults):
+        value = real(n, mults)
+        if not corrupted and n > 1:
+            corrupted.append(value)
+            return value + 1
+        return value
+
+    monkeypatch.setattr(chartab, "_dot", forbidden)
+    monkeypatch.setattr(chartab, "from_root_combination", corrupt_first_off_identity)
+    with pytest.raises(TableComputationError, match="row orthogonality"):
+        character_table(construct_group("S4"))
+    assert corrupted and corrupted[0].is_rational()
+
+
+RATIONAL_SPECS = ("S4", "S5", "C2xS5", "D4xC3", "Q8")
+
+
+@st.composite
+def rational_values(draw, k):
+    return [
+        Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from((1, 1, 2, 3, 4, 6, 35))))
+        for _ in range(k)
+    ]
+
+
+@given(st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_rational_rows_sum_as_dot_does(data):
+    """inner_product and class_sum on rational class functions take the
+    plain integer sum; it must give exactly what _dot gives."""
+    from fszd.chartab import _dot
+
+    table = character_table(get_group(data.draw(st.sampled_from(RATIONAL_SPECS))))
+    k = len(table.classes)
+    f = ClassFunction(table.classes, data.draw(rational_values(k)))
+    if data.draw(st.booleans()):
+        g = table.irreducibles[data.draw(st.integers(0, k - 1))]
+    else:
+        g = ClassFunction(table.classes, data.draw(rational_values(k)))
+    order = table.group.order()
+    sizes = [cl.size for cl in table.classes.classes]
+    for a, b in ((f, g), (g, f), (f, f), (g, g)):
+        da, va, a_rational = a._integer_form()
+        db, vb, b_rational = b._integer_form()
+        assert a_rational and b_rational
+        got = inner_product(a, b)
+        assert got == _dot(zip(sizes, va, vb), order * da * db, conj=True)
+        assert got == _reference_inner_product(a, b)
+        assert _is_canonical(got)
+    weights = data.draw(st.dictionaries(st.integers(0, k - 1), st.integers(-9, 9)))
+    den = data.draw(st.integers(1, 12))
+    for a in (f, g):
+        d, forms, _ = a._integer_form()
+        got = class_sum(a, weights, den)
+        assert got == _dot(((w, forms[c], 1) for c, w in weights.items()), den * d)
+        assert got == _reference_class_sum(a, weights, den)
+        assert _is_canonical(got)
+
+
+# -- direct products by orbit decomposition -------------------------------------
+
+# the benchmark's sweep groups, besides ACCEPTANCE_SPECS
+SWEEP_SPECS = ("S8", "S7", "A7", "C2xS5", "C3xC3xC2", "C4xC4", "Q8xC3", "D4xC3", "C2xC2xC2xC2")
+
+
+def _dixon_schneider_table(monkeypatch, H):
+    """H's table with the product reduction patched off, on a fresh copy of H."""
+    import fszd.chartab as chartab
+    from fszd import Group
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "_orbit_factors", lambda G: None)
+        return character_table(Group(H.degree, H.generators, name=H.name))
+
+
+def _same_table(a, b):
+    assert [cl.rep for cl in a.classes.classes] == [cl.rep for cl in b.classes.classes]
+    assert [cf.values for cf in a.irreducibles] == [cf.values for cf in b.irreducibles]
+
+
+def test_product_tables_match_dixon_schneider(monkeypatch):
+    from fszd import Session
+    from fszd.chartab import _orbit_factors
+
+    decomposable = {}
+    for spec in ACCEPTANCE_SPECS + SWEEP_SPECS:
+        S = Session(construct_group(spec))
+        groups = {id(H): H for H in map(S.centralizer_group, range(len(S.classes)))}
+        decomposable[spec] = 0
+        for H in groups.values():
+            if _orbit_factors(H) is None:
+                continue
+            decomposable[spec] += 1
+            _same_table(character_table(H), _dixon_schneider_table(monkeypatch, H))
+    # S8: 15 of its 20 distinct centralizers; every centralizer of C2xS5
+    assert decomposable["S8"] == 15
+    assert decomposable["C2xS5"] == 6
+    assert decomposable[SL23_SPEC] == 0
+    assert decomposable["C4xC4"] == 1
+
+
+@given(two_generator_groups(), two_generator_groups())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_random_direct_products_match_dixon_schneider(A, B):
+    from fszd.permcore import _direct_product
+
+    assume(A.order() * B.order() <= 2000)
+    G = _direct_product(A, B)
+    with pytest.MonkeyPatch.context() as m:
+        _same_table(character_table(G), _dixon_schneider_table(m, G))
+
+
+def test_diagonal_centralizer_takes_dixon_schneider(monkeypatch):
+    # C_4 = <i> x C3 in Q8xC3: <i> has two orbits of 4 points, so the orbit
+    # groups have orders 4 * 4 * 3 != 12 and the test must not decompose it
+    import fszd.chartab as chartab
+    from fszd import Session
+
+    S = Session(construct_group("Q8xC3"))
+    z = next(c for c, cl in enumerate(S.classes.classes) if cl.order == 4)
+    H = S.centralizer_group(z)
+    assert H.order() == 12
+    orbits = set()
+    for start in range(H.degree):
+        orbit = {start}
+        while not (images := {g.img[p] for g in H.generators for p in orbit}) <= orbit:
+            orbit |= images
+        orbits.add(frozenset(orbit))
+    assert sorted(len(o) for o in orbits if len(o) > 1) == [3, 4, 4]
+    assert chartab._orbit_factors(H) is None
+
+    def no_product(*args):
+        raise AssertionError("product reduction taken on a diagonal subgroup")
+
+    monkeypatch.setattr(chartab, "_product_rows", no_product)
+    table = character_table(H)
+    assert table.degrees == (1,) * 12
+
+
+_PRODUCT_MUTATIONS = """
+import fszd.chartab as chartab
+from fszd import ClassFunction, TableComputationError, construct_group
+from fszd.chartab import CharacterTable
+
+real_map = chartab._class_map
+
+
+def collapse(cs, coords):
+    coords[1] = coords[0]
+    return coords
+
+
+def swap_where(same_size):
+    def swap(cs, coords):
+        cl = cs.classes
+        i, j = next(
+            (i, j)
+            for i in range(len(cl))
+            for j in range(i)
+            if (cl[i].size == cl[j].size) == same_size and cl[i].order != cl[j].order
+        )
+        coords[i], coords[j] = coords[j], coords[i]
+        return coords
+    return swap
+
+
+for spec, mutate in (("C4xC4", collapse), ("S4xS3", swap_where(False)), ("C4xC4", swap_where(True))):
+    chartab._class_map = lambda cs, factors, tables: mutate(cs, real_map(cs, factors, tables))
+    try:
+        chartab.character_table(construct_group(spec))
+    except TableComputationError as exc:
+        print(exc)
+chartab._class_map = real_map
+
+real_table = chartab.character_table
+for spec in ("C4xC4", "S4xS3"):
+    G = construct_group(spec)
+
+    def corrupting(H):
+        table = real_table(H)
+        if H is G:
+            return table
+        rows = list(table.irreducibles)
+        values = list(rows[-1].values)
+        values[1] = values[1] * 2
+        rows[-1] = ClassFunction(table.classes, values)
+        return CharacterTable(H, table.classes, rows)
+
+    chartab.character_table = corrupting
+    try:
+        real_table(G)
+    except TableComputationError as exc:
+        print(str(exc).split(":")[0])
+    chartab.character_table = real_table
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_product_mutations_raise_typed_errors(flags):
+    # pytest's own asserts vanish under -O, so run the mutations in a child
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _PRODUCT_MUTATIONS],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "product class map is not a bijection (Group[C4xC4] as a product of 2 orbit groups)"
+    assert out[1].startswith("product class size mismatch (Group[S4xS3] as a product of 2 orbit groups, class ")
+    assert out[2].startswith("product element order mismatch (Group[C4xC4] as a product of 2 orbit groups, class ")
+    assert out[3:] == [
+        "row orthogonality check failed for Group[C4xC4]",
+        "row orthogonality check failed for Group[S4xS3]",
+    ]

@@ -221,6 +221,22 @@ def test_rational_hash_matches_fraction(q):
     assert hash(v + from_root(1, 7) - from_root(1, 7)) == hash(q)
 
 
+def test_integral_hash_builds_no_fraction(monkeypatch):
+    values = [Cyclotomic.rational(n) for n in (0, 1, -1, -2, 7, 10**30, -(10**30))]
+    new = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    hashes = [hash(v) for v in values]
+    monkeypatch.undo()
+    assert built == []
+    assert hashes == [hash(v.nums[0]) for v in values] == [hash(Fraction(v.nums[0])) for v in values]
+
+
 # -- algebraic laws -------------------------------------------------------------
 
 

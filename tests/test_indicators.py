@@ -402,7 +402,8 @@ def test_centralizer_groups_are_shared(monkeypatch):
         assert len(distinct) == 4
         for z in range(len(session.classes)):
             session.centralizer_table(z)
-        assert sorted(map(id, built)) == sorted(distinct)
+        # orbit factor groups of a product centralizer have tables of their own
+        assert sorted(id(H) for H in built if id(H) in distinct) == sorted(distinct)
 
 
 def test_class_level_path_never_enumerates(monkeypatch):
@@ -757,6 +758,30 @@ def test_fsz_rejects_d_before_computing_classes():
         for d in (0, -3):
             with pytest.raises(BadDivisorError, match="d must be a positive integer"):
                 fsz_test(G, d=d)
+        assert G._classes is None
+
+
+def test_report_takes_rationality_once_per_distinct_value(monkeypatch):
+    seen = []
+    real = fszd.indicators.rationality
+    monkeypatch.setattr(fszd.indicators, "rationality", lambda v: seen.append(v) or real(v))
+    report = all_indicators(Session(construct_group("S5")))
+    values = [e.value for s in report.simples for e in s.indicators]
+    assert len(seen) == len(set(seen)) == len(set(values)) < len(values)
+    for s in report.simples:
+        for e in s.indicators:
+            info = real(e.value)
+            assert (e.rational, e.pretty, e.approx) == (info.is_rational, info.pretty, info.approx)
+
+
+def test_restricted_normalizer_rejects_d_before_computing_classes():
+    # as for fsz_test: S12's classes are beyond the enumeration limit
+    for spec in ("S8", "S12"):
+        G = construct_group(spec)
+        g = Permutation.from_cycles(G.degree, [(1, 2, 3)])
+        for d in (0, -3):
+            with pytest.raises(BadDivisorError, match="d must be a positive integer"):
+                restricted_normalizer(G, g, d)
         assert G._classes is None
 
 
