@@ -31,7 +31,9 @@ then passes an exact self-check of degrees and row orthonormality.
 
 The self-check's inner products and ``class_sum`` run on integer forms of
 the values (``_integer_forms``); when every value is rational, as in every
-table of S_n, the sum is one plain integer sum and ``_dot`` is skipped.
+table of S_n, the sum is one plain integer sum and ``_dot`` is skipped.  An
+irrational ``class_sum`` has no products to take: it adds the reduced
+power-basis numerators of its terms per conductor and canonicalizes once.
 """
 from __future__ import annotations
 
@@ -41,8 +43,15 @@ from itertools import product
 from operator import attrgetter, mul
 from typing import Sequence
 
-from ._nt import divisors, is_prime, modinv, primitive_root, tonelli_sqrt
-from .cyclotomic import Cyclotomic, ZERO, _canonical, _reduce, from_root_combination
+from ._nt import divisors, euler_phi, is_prime, modinv, primitive_root, tonelli_sqrt
+from .cyclotomic import (
+    Cyclotomic,
+    ZERO,
+    _canonical,
+    _reduce,
+    _substitute,
+    from_root_combination,
+)
 from .errors import MismatchedTablesError, TableComputationError
 from .permcore import ConjugacyClassSet, Group, Permutation
 
@@ -192,12 +201,41 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
 def class_sum(f: ClassFunction, weights: dict[int, int], den: int = 1) -> Cyclotomic:
     """(1/den) * sum of w * f(c) over the (class index c, int w) items of
     weights, exact, on the integer form of f: a plain int sum when f is
-    rational, else through ``_dot``."""
+    rational.  Else an irrational form is already the reduced power-basis
+    numerators at its conductor, so terms of one conductor add coefficient
+    by coefficient into one buffer and rational terms into coefficient 0;
+    buffers of different conductors are lifted to their lcm and summed, and
+    one ``_canonical`` ends the sum."""
     d, forms, rational = f._integer_form()
     if rational:
         total = sum(map(mul, weights.values(), map(forms.__getitem__, weights)))
         return Cyclotomic._normal(1, den * d, (total,))
-    return _dot(((w, forms[c], 1) for c, w in weights.items()), den * d)
+    rat = 0
+    bufs: dict[int, list[int]] = {}
+    for c, w in weights.items():
+        form = forms[c]
+        if type(form) is int:
+            rat += w * form
+            continue
+        n, terms = form
+        buf = bufs.get(n)
+        if buf is None:
+            buf = bufs[n] = [0] * euler_phi(n)
+        for j, x in terms:
+            buf[j] += w * x
+    if not bufs:
+        # the commonest case in reports: the weights miss every irrational value
+        return Cyclotomic._normal(1, den * d, (rat,))
+    if len(bufs) == 1:
+        ((n, total),) = bufs.items()
+    else:
+        n = math.lcm(*bufs)
+        total = [0] * euler_phi(n)
+        for m, buf in bufs.items():
+            for j, x in enumerate(_substitute(n, buf, n // m)):
+                total[j] += x
+    total[0] += rat
+    return _canonical(n, den * d, total)
 
 
 def class_mult_coeff(classes: ConjugacyClassSet, a: int, b: int, c: int) -> int:
@@ -530,8 +568,9 @@ def _product_rows(G: Group, cs: ConjugacyClassSet, factors) -> list[ClassFunctio
     """The rows chi_1 x ... x chi_r of G = G_1 x ... x G_r, from the
     factors' tables, over G's own classes.  The class map must be a
     bijection onto the tuples of factor classes that multiplies class sizes
-    and takes the lcm of element orders, or TableComputationError names the
-    stage and the class."""
+    and takes the lcm of element orders, and the factor classes' reps, put
+    back on their orbits, must make an element of class c again; else
+    TableComputationError names the stage and the class."""
     tables = [character_table(H) for _, H in factors]
     coords = _class_map(cs, factors, tables)
     where = f"{G!r} as a product of {len(tables)} orbit groups"
@@ -543,6 +582,12 @@ def _product_rows(G: Group, cs: ConjugacyClassSet, factors) -> list[ClassFunctio
             raise TableComputationError(f"product class size mismatch ({where}, class {c})")
         if cl.order != math.lcm(*(f.order for f in fcls)):
             raise TableComputationError(f"product element order mismatch ({where}, class {c})")
+        img = list(range(G.degree))
+        for (orbit, _), f in zip(factors, fcls):
+            for p, q in zip(orbit, f.rep.img):
+                img[p] = orbit[q]
+        if cs.position_of(Permutation._raw(tuple(img))) != c:
+            raise TableComputationError(f"product class position mismatch ({where}, class {c})")
     products: dict[tuple[Cyclotomic, Cyclotomic], Cyclotomic] = {}
 
     def times(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:

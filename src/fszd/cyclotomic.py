@@ -184,11 +184,20 @@ class Cyclotomic:
     def _normal(cls, conductor: int, den: int, nums) -> "Cyclotomic":
         """nums / den at its minimal conductor, put in lowest terms with a
         positive denominator."""
+        v = object.__new__(cls)
+        if conductor == 1:
+            # one numerator: a rational, the commonest result by far
+            c = nums[0]
+            g = math.gcd(den, c) if den > 0 else -math.gcd(den, c)
+            if g != 1:
+                den //= g
+                c //= g
+            v.conductor, v.den, v.nums = 1, den, (c,)
+            return v
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         if g != 1:
             den //= g
             nums = [c // g for c in nums]
-        v = object.__new__(cls)
         v.conductor, v.den, v.nums = conductor, den, tuple(nums)
         return v
 
@@ -367,6 +376,8 @@ class Cyclotomic:
         return (self.conductor, self.nums if self.den == 1 else self.coeffs)
 
     def __eq__(self, other) -> bool:
+        if type(other) is int:
+            return self.conductor == 1 and self.den == 1 and self.nums[0] == other
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -18,9 +18,10 @@ Past the character tables every step is an exact dot product of table rows
 with integer or cyclotomic weights: phi and nu are ``class_sum``s of a row
 (nu folds the 1/|C_G(g)| into the denominator), and the characters backend
 of gamma sums beta_chi * chi(c) for each class c.  All of them run on
-integer forms of the rows: phi and nu of a rational row are one plain int
-sum, and every other sum goes through chartab's integer kernel ``_dot``,
-which canonicalizes once per result.
+integer forms of the rows and canonicalize once per result: phi and nu of
+a rational row are one plain int sum, of an irrational row a coefficient-wise
+sum of its reduced forms (``class_sum``), and the gamma step goes through
+chartab's integer kernel ``_dot``.
 
 The FSZ rationality test works from the beta coefficients alone and skips
 parameter combinations that are forced rational.
@@ -353,7 +354,7 @@ def mate(session: Session, z_class: int, h_class_in_cz: int) -> Mate:
 
 
 def mu(session: Session, g_class: int, m: int) -> MuElement:
-    checked_ms(session, (m,))
+    _check_m(session, m)
     return session.mu(g_class, m)
 
 
@@ -504,20 +505,21 @@ class IndicatorReport:
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)``,
         byte for byte, filled into fixed templates without building the dict
-        (an indent sends ``json`` to its pure-Python encoder)."""
+        (an indent sends ``json`` to its pure-Python encoder).  Each distinct
+        entry object is encoded once."""
         classes = [
             _CLASS % (c["index"], _str(c["rep"]), c["size"], c["order"]) for c in self.classes
         ]
-        simples = [
-            _SIMPLE
-            % (
-                s.g_class,
-                s.eta_index,
-                s.eta_degree,
-                _array([_entry_json(e) for e in s.indicators], " " * 8),
-            )
-            for s in self.simples
-        ]
+        texts: dict[int, str] = {}  # id of an entry -> its text
+        simples = []
+        for s in self.simples:
+            items = []
+            for e in s.indicators:
+                text = texts.get(id(e))
+                if text is None:
+                    text = texts[id(e)] = _entry_json(e)
+                items.append(text)
+            simples.append(_SIMPLE % (s.g_class, s.eta_index, s.eta_degree, _array(items, " " * 8)))
         return _REPORT % (
             _str(self.group),
             self.order,
@@ -634,16 +636,24 @@ def checked_ms(session: Session, ms: Iterable[int] | None) -> list[int]:
     ms sorted without repeats; each is checked to divide exp(G)."""
     m_list = list(session.divisors) if ms is None else sorted(set(ms))
     for m in m_list:
-        if m < 1 or session.exponent % m != 0:
-            raise BadDivisorError(f"m={m} does not divide exp(G)={session.exponent}")
+        _check_m(session, m)
     return m_list
 
 
+def _check_m(session: Session, m: int) -> None:
+    if m < 1 or session.exponent % m != 0:
+        raise BadDivisorError(f"m={m} does not divide exp(G)={session.exponent}")
+
+
 def all_indicators(session: Session, ms: Iterable[int] | None = None) -> IndicatorReport:
-    """Indicators for every simple of D(G) and every requested divisor m;
-    ``rationality`` runs once per distinct value."""
+    """Indicators for every simple of D(G) and every requested divisor m.
+
+    Few of the values are distinct, so the report holds one (frozen)
+    ``IndicatorEntry`` per distinct (m, value), and ``rationality`` runs
+    once per distinct value."""
     m_list = checked_ms(session, ms)
     infos: dict[Cyclotomic, RationalityInfo] = {}
+    shared: dict[tuple[int, Cyclotomic], IndicatorEntry] = {}
     simples = []
     for g_class in range(len(session.classes)):
         table = session.centralizer_table(g_class)
@@ -652,12 +662,15 @@ def all_indicators(session: Session, ms: Iterable[int] | None = None) -> Indicat
             entries = []
             for m in m_list:
                 value = nu(session, g_class, eta_index, m)
-                info = infos.get(value)
-                if info is None:
-                    info = infos[value] = rationality(value)
-                entries.append(
-                    IndicatorEntry(m, value, info.is_rational, info.pretty, info.approx)
-                )
+                entry = shared.get((m, value))
+                if entry is None:
+                    info = infos.get(value)
+                    if info is None:
+                        info = infos[value] = rationality(value)
+                    entry = shared[m, value] = IndicatorEntry(
+                        m, value, info.is_rational, info.pretty, info.approx
+                    )
+                entries.append(entry)
             simples.append(
                 SimpleIndicators(g_class, eta_index, degrees[eta_index], tuple(entries))
             )

@@ -289,6 +289,22 @@ def mixed_values(draw, length):
     return values
 
 
+@st.composite
+def one_conductor_values(draw, length):
+    """Values of one conductor n, each q * zeta_n^j + r with j a unit mod n
+    (so of conductor n exactly unless q = 0) or a rational q."""
+    n = draw(st.sampled_from((4, 5, 8, 12)))
+    units = [j for j in range(1, n) if math.gcd(j, n) == 1]
+    values = []
+    for _ in range(length):
+        q = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 6)))
+        if draw(st.booleans()):
+            values.append(Cyclotomic.rational(q))
+        else:
+            values.append(from_root(draw(st.sampled_from(units)), n) * q + draw(st.integers(-3, 3)))
+    return values
+
+
 def _reference_inner_product(f, g):
     total = Cyclotomic.rational(0)
     for cl, fv, gv in zip(f.classes.classes, f.values, g.values):
@@ -338,19 +354,38 @@ def _reference_character_sums(coeffs, table):
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_kernel_sums_match_cyclotomic_reference(data):
     """class_sum and the gamma combination step (beta-like coefficients,
-    here irrational, fractional or zero, against the table rows)."""
+    here irrational, fractional or zero, against the table rows).  class_sum
+    also meets rows of one conductor mixed with rationals, and weights whose
+    sum cancels to 0."""
     table = character_table(get_group(data.draw(st.sampled_from(IP_SPECS))))
     k = len(table.classes)
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(("row", "mixed", "one conductor")))
+    if kind == "row":
         f = table.irreducibles[data.draw(st.integers(0, k - 1))]
-    else:
+    elif kind == "mixed":
         f = ClassFunction(table.classes, data.draw(mixed_values(k)))
+    else:
+        f = ClassFunction(table.classes, data.draw(one_conductor_values(k)))
     weights = data.draw(st.dictionaries(st.integers(0, k - 1), st.integers(-6, 6)))
     weights[data.draw(st.integers(0, k - 1))] = 0
     den = data.draw(st.integers(1, 12))
     got = class_sum(f, weights, den)
     assert got == _reference_class_sum(f, weights, den)
     assert _is_canonical(got)
+    # a value against its negative, and the n-th roots of unity but 1 with
+    # the rational 1 at another class, each sum to 0
+    values = list(f.values)
+    c = data.draw(st.integers(0, k - 2))
+    values[c + 1] = -values[c]
+    w = data.draw(st.integers(1, 6))
+    cancelling = [({c: w, c + 1: w}, values)]
+    n = data.draw(st.sampled_from((3, 4, 5, 8, 12)))
+    if n <= k:
+        roots = [from_root(j, n) for j in range(1, n)] + [Cyclotomic.rational(1)] + values[n:]
+        cancelling.append(({j: w for j in range(n)}, roots))
+    for weights, values in cancelling:
+        got = class_sum(ClassFunction(table.classes, values), weights, den)
+        assert (got.conductor, got.den, got.nums) == (1, 1, (0,))
     coeffs = data.draw(mixed_values(k))
     got = _character_sums(coeffs, table, "test")
     assert got == _reference_character_sums(coeffs, table)
@@ -770,7 +805,17 @@ def swap_where(same_size):
     return swap
 
 
-for spec, mutate in (("C4xC4", collapse), ("S4xS3", swap_where(False)), ("C4xC4", swap_where(True))):
+def swap_first_two(cs, coords):
+    coords[1], coords[2] = coords[2], coords[1]
+    return coords
+
+
+for spec, mutate in (
+    ("C4xC4", collapse),
+    ("S4xS3", swap_where(False)),
+    ("C4xC4", swap_where(True)),
+    ("C4xC4", swap_first_two),
+):
     chartab._class_map = lambda cs, factors, tables: mutate(cs, real_map(cs, factors, tables))
     try:
         chartab.character_table(construct_group(spec))
@@ -813,7 +858,10 @@ def test_product_mutations_raise_typed_errors(flags):
     assert out[0] == "product class map is not a bijection (Group[C4xC4] as a product of 2 orbit groups)"
     assert out[1].startswith("product class size mismatch (Group[S4xS3] as a product of 2 orbit groups, class ")
     assert out[2].startswith("product element order mismatch (Group[C4xC4] as a product of 2 orbit groups, class ")
-    assert out[3:] == [
+    # classes 1 and 2 of C4xC4 have equal size and order: only the
+    # position check tells them apart
+    assert out[3] == "product class position mismatch (Group[C4xC4] as a product of 2 orbit groups, class 1)"
+    assert out[4:] == [
         "row orthogonality check failed for Group[C4xC4]",
         "row orthogonality check failed for Group[S4xS3]",
     ]

@@ -237,6 +237,38 @@ def test_integral_hash_builds_no_fraction(monkeypatch):
     assert hashes == [hash(v.nums[0]) for v in values] == [hash(Fraction(v.nums[0])) for v in values]
 
 
+def test_equality_with_plain_numbers_matches_hash():
+    third = Cyclotomic.rational(Fraction(1, 3))
+    root = from_root(1, 5)
+    cases = [
+        (Cyclotomic.rational(0), 0, True),
+        (Cyclotomic.rational(0), False, True),
+        (Cyclotomic.rational(0), Fraction(0), True),
+        (Cyclotomic.rational(1), 1, True),
+        (Cyclotomic.rational(1), True, True),
+        (Cyclotomic.rational(1), Fraction(1), True),
+        (Cyclotomic.rational(-7), -7, True),
+        (Cyclotomic.rational(-7), Fraction(-14, 2), True),
+        (Cyclotomic.rational(-(10**30)), -(10**30), True),
+        (Cyclotomic.rational(-7), 7, False),
+        (third, 0, False),
+        (third, Fraction(1, 3), True),
+        (third, 1, False),
+        (root, 1, False),
+        (root, 0, False),
+        (root, True, False),
+        (root, Fraction(1, 5), False),
+        (root + 1 - root, 1, True),
+        (sqrt_cyclotomic(5) * sqrt_cyclotomic(5), 5, True),
+    ]
+    for v, x, equal in cases:
+        assert (v == x) is equal and (x == v) is equal and (v != x) is not equal, (v, x)
+        if equal:
+            assert hash(v) == hash(x), (v, x)
+    assert {Cyclotomic.rational(2): "two"}[2] == "two"
+    assert Cyclotomic.rational(2) in {2, 3} and from_root(1, 4) not in {0, 1}
+
+
 # -- algebraic laws -------------------------------------------------------------
 
 

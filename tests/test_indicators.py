@@ -533,6 +533,15 @@ def test_nu_requires_divisor():
         mu(S, 0, 5)
 
 
+def test_nu_and_mu_reject_a_bad_divisor_before_any_mu():
+    S = Session(construct_group("S4"))
+    for m in (0, -4, 7):
+        for call in (lambda: nu(S, 1, 0, m), lambda: mu(S, 1, m)):
+            with pytest.raises(BadDivisorError, match=rf"^m={m} does not divide exp\(G\)=12$"):
+                call()
+    assert S._mus == {}
+
+
 def test_nu_values_are_real_and_in_field():
     for spec in ("S4", "D6", SL23_SPEC):
         S = get_session(spec)
@@ -969,6 +978,15 @@ def test_report_bytes_pinned(spec):
         for text in (report.to_json(), report.to_csv())
     )
     assert digests == PINNED_REPORT_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", ["S4", "C4xC4"])
+def test_report_shares_one_entry_per_distinct_m_and_value(spec):
+    report = all_indicators(Session(construct_group(spec)))
+    entries = [e for s in report.simples for e in s.indicators]
+    distinct = {(e.m, e.value) for e in entries}
+    assert len({id(e) for e in entries}) == len(distinct) < len(entries)
+    assert report.to_json() == reference_json(report)
 
 
 def test_report_m_validation():
