@@ -376,12 +376,12 @@ class Cyclotomic:
         return (self.conductor, self.nums if self.den == 1 else self.coeffs)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclotomic):
+            return self.conductor == other.conductor and self.den == other.den and self.nums == other.nums
         if type(other) is int:
             return self.conductor == 1 and self.den == 1 and self.nums[0] == other
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.conductor == o.conductor and self.den == o.den and self.nums == o.nums
+        return NotImplemented if o is None else self == o
 
     def __hash__(self) -> int:
         if self.conductor == 1:

@@ -29,10 +29,10 @@ parameter combinations that are forced rational.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _str
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 from ._nt import divisors
@@ -529,27 +529,22 @@ class IndicatorReport:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["group", "g_class", "eta_index", "eta_degree", "m", "value", "rational", "pretty", "approx"]
-        )
+        """One row per (simple, entry): each simple's leading cells and each
+        distinct entry's cells (keyed by id, as in ``to_json``) are formatted
+        once, and each line joins the two."""
+        # writerow returns what its file's write returns: here, the row's text
+        row = csv.writer(SimpleNamespace(write=str), lineterminator="").writerow
+        lines = [_CSV_HEADER]
+        texts: dict[int, str] = {}  # id of an entry -> its cells
         for s in self.simples:
+            lead = row([self.group, s.g_class, s.eta_index, s.eta_degree])
             for e in s.indicators:
-                writer.writerow(
-                    [
-                        self.group,
-                        s.g_class,
-                        s.eta_index,
-                        s.eta_degree,
-                        e.m,
-                        _CSV_VALUE % (e.value.conductor, '", "'.join(e.value.coeff_texts())),
-                        e.rational,
-                        e.pretty,
-                        e.approx,
-                    ]
-                )
-        return buf.getvalue()
+                text = texts.get(id(e))
+                if text is None:
+                    value = _CSV_VALUE % (e.value.conductor, '", "'.join(e.value.coeff_texts()))
+                    text = texts[id(e)] = row([e.m, value, e.rational, e.pretty, e.approx])
+                lines.append(f"{lead},{text}\n")
+        return "".join(lines)
 
     def values_for(self, g_class: int, eta_index: int) -> dict[int, Cyclotomic]:
         for s in self.simples:
@@ -605,6 +600,7 @@ _ENTRY = (
 _COEFF_SEP = '",\n' + " " * 14 + '"'
 # json.dumps(value.to_json_dict()), the CSV value cell
 _CSV_VALUE = '{"conductor": %d, "coeffs": ["%s"]}'
+_CSV_HEADER = "group,g_class,eta_index,eta_degree,m,value,rational,pretty,approx\n"
 
 
 def _array(items: list[str], indent: str) -> str:

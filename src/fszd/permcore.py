@@ -8,12 +8,13 @@ Order and membership go through a deterministic Schreier-Sims stabilizer
 chain, so they never require full enumeration.  Conjugacy classes are grown
 from the class of 1 by a walk over the classes found so far (see
 ``_compute_classes``), up to a configurable bound on |G| (``FSZD_MAX_ORDER``
-overrides it).  The walk is the one cover of G: its class index answers
-``position_of`` and its keys are ``Group.elements()``.  Each class is stored
-as a Schreier vector of the conjugation action, rooted where the walk found
-it, off which centralizers, conjugators and restricted normalizers are read,
-and with a power column (the classes of rep**t, t < o(rep)) that answers
-every power question.
+overrides it).  The walk is the one cover of G, and its index the one store
+of G's elements: each packed element is a key once, its value coding its
+class and the Schreier edge that reached it (see ``_conjugation_orbit``).
+The index answers ``position_of``, its keys are ``Group.elements()``, and
+centralizers, conjugators and restricted normalizers read transversals off
+it.  Each class lists its members breadth first, and has a power column (the
+classes of rep**t, t < o(rep)) that answers every power question.
 
 The element-level loops (the stabilizer chain, the class walk, conjugation
 orbits, centralizers' Schreier generators, power columns, class products) run
@@ -377,11 +378,11 @@ class Group:
         self.generators = tuple(gens)
         self.name = name
         # conjugation by generator i of a packed y is compose(compose(a, y + pad), b)
-        # with (i, a, b) in _conj (b is generator i's padded table); by its
+        # with (a, b) = _conj[i] (b is generator i's padded table); by its
         # inverse, with (a, b) = _inverse_conj[i]
         self._pack, self._compose, self._pad = _packing(degree)
         packed = [(self._pack(g.img), self._pack(g.inverse().img)) for g in gens]
-        self._conj = tuple((i, ginv, g + self._pad) for i, (g, ginv) in enumerate(packed))
+        self._conj = tuple((ginv, g + self._pad) for g, ginv in packed)
         self._inverse_conj = tuple((g, ginv + self._pad) for g, ginv in packed)
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
@@ -429,29 +430,31 @@ class Group:
 class ConjugacyClass:
     """A conjugacy class.
 
-    ``orbit`` is its Schreier vector (see ``_conjugation_orbit``), keyed by
-    packed elements: ``bytes`` images up to 256 points, image tuples above.
-    It is rooted at its first key, the element where the class was found,
-    which need not be rep.  ``elements`` unpacks those keys into a frozenset
-    of ``Permutation``s on each access.
+    ``members`` lists its packed elements (``bytes`` images up to 256
+    points, image tuples above) breadth first from its root, the element
+    where the class walk found it, which need not be rep.  The Schreier edge
+    that reached each member is kept in the class set's index, not here.
+    ``elements`` unpacks the members into a frozenset of ``Permutation``s on
+    each access.
     """
 
-    __slots__ = ("rep", "size", "order", "orbit")
+    __slots__ = ("rep", "size", "order", "members")
 
-    def __init__(self, rep: Permutation, order: int, orbit: dict):
+    def __init__(self, rep: Permutation, order: int, members: list):
         self.rep = rep
-        self.size = len(orbit)
+        self.size = len(members)
         self.order = order
-        self.orbit = orbit
+        self.members = members
 
     @property
     def elements(self) -> frozenset[Permutation]:
-        return frozenset(map(_unpack, self.orbit))
+        return frozenset(map(_unpack, self.members))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConjugacyClass):
             return NotImplemented
-        return self.rep == other.rep and self.orbit.keys() == other.orbit.keys()
+        # the same elements; their breadth-first order depends on the generators
+        return self.rep == other.rep and set(self.members) == set(other.members)
 
     def __hash__(self) -> int:
         return hash(self.rep)
@@ -476,8 +479,9 @@ class ConjugacyClassSet:
     def __init__(
         self, group: Group, classes: Sequence[ConjugacyClass], index: dict, position: Sequence[int]
     ):
-        # the class index of packed x is position[index[x]]: index numbers the
-        # classes in the order they were found, so the sort renumbers only them
+        # the class index of packed x is position[index[x]]: index codes the
+        # class of x by its number in walk order (see _compute_classes), so the
+        # sort renumbers only position
         self.group = group
         self.classes = tuple(classes)
         self._index = index
@@ -516,11 +520,11 @@ class ConjugacyClassSet:
 
     def product_classes(self, i: int, cols: Iterable[int]) -> Iterator[list[int]]:
         """For each l in cols, the class index of y * rep(l) for every y in
-        class i, in the order of the class's Schreier vector."""
+        class i, in the order of the class's members."""
         G = self.group
         compose, pad = G._compose, G._pad
         index, position = self._index.__getitem__, self._position.__getitem__
-        tables = [y + pad for y in self.classes[i].orbit]
+        tables = [y + pad for y in self.classes[i].members]
         for l in cols:
             r = G._pack(self.classes[l].rep.img)
             yield list(map(position, map(index, map(compose, repeat(r), tables))))
@@ -535,35 +539,38 @@ def _checked_order(G: Group) -> int:
     return n
 
 
-def _conjugation_orbit(G: Group, x) -> dict:
-    """The class of packed x as a Schreier vector: each conjugate maps to the
-    index of the generator that first reached it (breadth first), x to -1."""
-    compose, pad, conj = G._compose, G._pad, G._conj
-    orbit = {x: -1}
-    todo = [x]
-    push = todo.append
-    for y in todo:
-        y_table = y + pad
-        for i, a, b in conj:
-            z = compose(compose(a, y_table), b)
-            if z not in orbit:
-                orbit[z] = i
-                push(z)
-    return orbit
-
-
-def _transversal(G: Group, orbit: dict, y) -> tuple:
-    """Packed (t, t^-1) for the t in G with t.conj(root) == y, packed y,
-    read off the Schreier vector."""
+def _conjugation_orbit(G: Group, x, index: dict, code: int) -> list:
+    """The class of packed x, breadth first from its root x.  Each member
+    enters index: x as code, a multiple of len(G.generators) + 1, and every
+    other as code + 1 + i, i the generator that first reached it."""
     compose, pad = G._compose, G._pad
+    edges = [(a, b, c) for c, (a, b) in enumerate(G._conj, code + 1)]
+    index[x] = code
+    members = [x]
+    push = members.append
+    for y in members:
+        y_table = y + pad
+        for a, b, c in edges:
+            z = compose(compose(a, y_table), b)
+            if z not in index:
+                index[z] = c
+                push(z)
+    return members
+
+
+def _transversal(G: Group, index: dict, y) -> tuple:
+    """Packed (t, t^-1) for the t in G with t.conj(root) == y, packed y,
+    root the root of y's class, read off the Schreier edges in index."""
+    compose, pad, inverse_conj = G._compose, G._pad, G._inverse_conj
     t = t_inv = G._pack(range(G.degree))
-    i = orbit[y]
-    while i >= 0:
-        g, ginv_table = G._inverse_conj[i]
+    code = index[y]
+    root = code - code % (len(inverse_conj) + 1)
+    while code != root:
+        g, ginv_table = inverse_conj[code - root - 1]
         t = compose(g, t + pad)  # t * g
         t_inv = compose(t_inv, ginv_table)  # g^-1 * t^-1
         y = compose(compose(g, y + pad), ginv_table)
-        i = orbit[y]
+        code = index[y]
     return t, t_inv
 
 
@@ -576,24 +583,23 @@ def _compute_classes(G: Group) -> ConjugacyClassSet:
     The covered set S is a union of classes, so it is closed under
     conjugation, and it contains 1.  While S != G some g * y leaves S, since
     the Cayley graph of G on its generators is connected; so the walk covers
-    G, and it stops as soon as it has.  Each class keeps its Schreier vector
-    rooted where it was found; its representative is the least packed key
+    G, and it stops as soon as it has.  The k-th class found has root code
+    width * k in the index; its representative is its least packed member
     (the lex-min element).
     """
     n = _checked_order(G)
     compose = G._compose
-    tables = [g_table for _, _, g_table in G._conj]
-    orbits: list[dict] = []
-    index: dict = {}  # packed element -> position of its class in orbits
+    width = len(G._conj) + 1
+    tables = [g_table for _, g_table in G._conj]
+    orbits: list[list] = []
+    index: dict = {}  # packed element -> width * (its class's place in orbits) + edge
     # the products g * y leaving the covered set; it reads orbits and index as they grow
     misses = (
         z for orbit in orbits for y in orbit for z in map(compose, repeat(y), tables) if z not in index
     )
     x = G._pack(range(G.degree))
     while True:
-        orbit = _conjugation_orbit(G, x)
-        index.update(zip(orbit, repeat(len(orbits))))
-        orbits.append(orbit)
+        orbits.append(_conjugation_orbit(G, x, index, width * len(orbits)))
         if len(index) == n:
             break
         x = next(misses, None)
@@ -607,9 +613,9 @@ def _compute_classes(G: Group) -> ConjugacyClassSet:
         classes.append(ConjugacyClass(rep, rep.order(), orbit))
     keys = [(cl.order, cl.size, cl.rep.img) for cl in classes]
     found = sorted(range(len(classes)), key=keys.__getitem__)
-    position = [0] * len(found)
+    position = [0] * (width * len(found))  # indexed by code
     for i, c in enumerate(found):
-        position[c] = i
+        position[width * c : width * (c + 1)] = repeat(i, width)
     return ConjugacyClassSet(G, [classes[c] for c in found], index, position)
 
 
@@ -630,35 +636,42 @@ def centralizer(G: Group, z: Permutation) -> Group:
     """The subgroup of G commuting with z: the stabilizer of z under
     conjugation, generated by the Schreier generators of z's orbit.
 
-    When G's classes are already computed, the stored Schreier vector of
-    z's class is that orbit and is reused.  Its Schreier generators fix the
-    orbit's root, so each is conjugated by the transversal element t with
-    t.conj(root) == z (the identity when z is the root).  They are built
-    packed, and only those the chain keeps are unpacked.
+    When G's class set exists, z's class and the Schreier edges in its index
+    are that orbit; otherwise it is built from z into a fresh index, with no
+    class set and so no enumeration limit.  The Schreier generators fix the
+    orbit's root, so each is conjugated by the t with t.conj(root) == z (the
+    identity when z is the root).  So the generators returned depend on
+    whether G's class set exists, though the subgroup does not.  They are
+    built packed, and only those the chain keeps are unpacked.
     """
     if z not in G:
         raise NotInGroupError("centralizer: element is not in the group")
     compose, pad = G._compose, G._pad
     x = G._pack(z.img)
     cs = G._classes
-    orbit = cs.classes[cs.position_of(z)].orbit if cs is not None else _conjugation_orbit(G, x)
-    t, t_inv = _transversal(G, orbit, x)
+    if cs is None:
+        index: dict = {}
+        orbit = _conjugation_orbit(G, x, index, 0)
+    else:
+        index, orbit = cs._index, cs.classes[cs.position_of(z)].members
+    t, t_inv = _transversal(G, index, x)
     t_table = t + pad
     target = G.order() // len(orbit)
 
     def schreier_generator(y, g_table, w):
         # t * T(w)^-1 * g * T(y) * t^-1, composed right to left
-        s = compose(t_inv, _transversal(G, orbit, y)[0] + pad)
-        s = compose(compose(s, g_table), _transversal(G, orbit, w)[1] + pad)
+        s = compose(t_inv, _transversal(G, index, y)[0] + pad)
+        s = compose(compose(s, g_table), _transversal(G, index, w)[1] + pad)
         return compose(s, t_table)
 
-    # (y, g_i) is an edge of the Schreier tree when g_i reached g_i.conj(y)
-    # from y; its Schreier generator is 1 and is skipped
+    # (y, g_i) is an edge of the Schreier tree when g_i reached w = g_i.conj(y)
+    # from y, so that w's code is c; its Schreier generator is 1 and is skipped
+    edges = [(a, b, c) for c, (a, b) in enumerate(G._conj, index[orbit[0]] + 1)]
     schreier = (
         schreier_generator(y, b, w)
         for y in orbit
-        for i, a, b in G._conj
-        if orbit[w := compose(compose(a, y + pad), b)] != i
+        for a, b, c in edges
+        if index[w := compose(compose(a, y + pad), b)] != c
     )
     gens: list[Permutation] = []
     chain = StabilizerChain(gens, G.degree)
@@ -678,9 +691,8 @@ def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation
     i = cs.position_of(a)
     if cs.position_of(b) != i:
         return None
-    orbit = cs.classes[i].orbit
-    t_b = _transversal(G, orbit, G._pack(b.img))[0]
-    t_a_inv = _transversal(G, orbit, G._pack(a.img))[1]
+    t_b = _transversal(G, cs._index, G._pack(b.img))[0]
+    t_a_inv = _transversal(G, cs._index, G._pack(a.img))[1]
     return _unpack(G._compose(t_a_inv, t_b + G._pad))  # T(b) * T(a)^-1
 
 

@@ -260,6 +260,11 @@ def test_equality_with_plain_numbers_matches_hash():
         (root, Fraction(1, 5), False),
         (root + 1 - root, 1, True),
         (sqrt_cyclotomic(5) * sqrt_cyclotomic(5), 5, True),
+        # Cyclotomic pairs: equal, and differing only in den or only in conductor
+        (root, from_root(6, 5), True),
+        (third, Cyclotomic.rational(Fraction(1, 2)), False),
+        (root, root * Fraction(1, 2), False),
+        (from_root(1, 3), from_root(1, 4), False),
     ]
     for v, x, equal in cases:
         assert (v == x) is equal and (x == v) is equal and (v != x) is not equal, (v, x)

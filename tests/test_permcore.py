@@ -23,7 +23,7 @@ from fszd import (
     rational_classes,
     restricted_normalizer,
 )
-from fszd.chartab import _class_matrix_rows, class_mult_coeff
+from fszd.chartab import ClassFunction, _class_matrix_rows, class_mult_coeff
 from fszd import permcore
 from fszd.permcore import StabilizerChain, _transversal
 
@@ -159,6 +159,32 @@ def test_enum_limit_env(monkeypatch):
         G.conjugacy_classes()
     with pytest.raises(ResourceLimitError):
         Session(construct_group("S5"))
+
+
+def _cold_and_warm_centralizers_agree(spec, **kwargs):
+    cold_G, warm_G = construct_group(spec, **kwargs), construct_group(spec, **kwargs)
+    for cl in warm_G.conjugacy_classes():
+        cold = centralizer(cold_G, cl.rep)
+        assert cold_G._classes is None  # built from cl.rep alone, with no class set
+        assert set(cold.elements()) == set(centralizer(warm_G, cl.rep).elements())
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
+def test_cold_centralizer_matches_warm(spec):
+    _cold_and_warm_centralizers_agree(spec)
+
+
+def test_cold_centralizer_matches_warm_above_256_points():
+    _cold_and_warm_centralizers_agree("perm:(296,297);(296,297,298,299,300)", max_degree=300)
+
+
+def test_cold_centralizer_above_enum_limit(monkeypatch):
+    monkeypatch.setenv("FSZD_MAX_ORDER", "50")
+    G = construct_group("S5")
+    C = centralizer(G, Permutation.from_cycles(5, [(1, 2, 3, 4, 5)]))
+    assert C.order() == 5 and G._classes is None
+    with pytest.raises(ResourceLimitError):
+        G.conjugacy_classes()
 
 
 # -- membership oracle ---------------------------------------------------------
@@ -353,6 +379,15 @@ def test_subgroup_membership():
 # -- conjugacy classes ----------------------------------------------------------
 
 
+def test_class_equality_ignores_member_order():
+    a = construct_group("perm:(1,2);(1,2,3,4)").conjugacy_classes()
+    b = construct_group("perm:(1,2,3,4);(1,2)").conjugacy_classes()
+    # the same classes, most of them searched in another order
+    assert sum(x.members != y.members for x, y in zip(a, b)) == 4
+    assert a.classes == b.classes
+    assert ClassFunction(a, [1] * 5) + ClassFunction(b, [2] * 5) == ClassFunction(a, [3] * 5)
+
+
 def test_class_sizes_examples():
     assert sorted(c.size for c in get_group("S3").conjugacy_classes()) == [1, 2, 3]
     assert [c.size for c in construct_group("C4").conjugacy_classes()] == [1, 1, 1, 1]
@@ -531,8 +566,8 @@ def _restricted_normalizer_by_filter(G, g, d):
 def _check_against_filters(G):
     exp = group_exponent(G)
     for cl in G.conjugacy_classes():
-        # the representative, the root of the class's Schreier vector and its last key
-        root, last = next(iter(cl.orbit)), next(reversed(cl.orbit))
+        # the representative, the root of the class's breadth-first search and its last member
+        root, last = cl.members[0], cl.members[-1]
         members = list(dict.fromkeys([cl.rep, Permutation(root), Permutation(last)]))
         for g in members:
             assert frozenset(centralizer(G, g).elements()) == _centralizer_by_filter(G, g)
@@ -605,10 +640,12 @@ def _check_packed_paths(G):
     assert {frozenset(c.elements) for c in cs} == expected
     for i, cl in enumerate(cs.classes):
         assert cl.rep == min(cl.elements)
-        root = next(iter(cl.orbit))
-        assert cl.orbit[root] == -1
-        for y in cl.orbit:
-            t, t_inv = map(Permutation, _transversal(G, cl.orbit, y))
+        root = cl.members[0]
+        width = len(G.generators) + 1
+        assert cs._index[root] % width == 0
+        assert {cs._index[y] // width for y in cl.members} == {cs._index[root] // width}
+        for y in cl.members:
+            t, t_inv = map(Permutation, _transversal(G, cs._index, y))
             assert t.conj(Permutation(root)).img == tuple(y) and (t * t_inv).is_identity()
         nonzeros = [[(l, v) for l, v in enumerate(row) if v] for row in _class_matrix_reference(cs, i)]
         assert _class_matrix_rows(cs, i) == nonzeros
@@ -642,8 +679,8 @@ def _class_data(G):
 def test_degree_above_256_packs_image_tuples():
     small = construct_group("perm:(1,2);(1,2,3,4)")
     big = construct_group("perm:(297,298);(297,298,299,300)", max_degree=300)
-    assert isinstance(next(iter(small.conjugacy_classes().classes[0].orbit)), bytes)
-    assert isinstance(next(iter(big.conjugacy_classes().classes[0].orbit)), tuple)
+    assert isinstance(small.conjugacy_classes().classes[0].members[0], bytes)
+    assert isinstance(big.conjugacy_classes().classes[0].members[0], tuple)
     assert big.order() == small.order() == 24
     assert _class_data(big) == _class_data(small)
     for G in (small, big):
