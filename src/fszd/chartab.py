@@ -10,9 +10,10 @@ deterministic: smallest prime, smallest primitive root, classes and
 eigenvalues in ascending order.
 
 The GF(p) stages follow Schneider ("Dixon's character table algorithm
-revisited", J. Symb. Comput. 9, 1990) in keeping each class matrix row as
-its nonzero (column, value) pairs: a class matrix has at most |C_i| nonzeros
-per column, and for an abelian group it is a permutation matrix.  The
+revisited", J. Symb. Comput. 9, 1990) in building, on demand, only the
+class matrix rows a split reads: those at the pivots of unsplit spaces.
+Row j of class matrix i, the a_ij^l of C_i * C_j = sum of a_ij^l * C_l, is
+one pass over C_i by triple counting (``_class_matrix_row``).  The
 characteristic polynomial of a class matrix restricted to an eigenspace is
 taken in O(d^3) through Hessenberg form (``_charpoly_mod``).  The
 multiplicity lift of a value is a function of its GF(p) column alone, so
@@ -29,11 +30,12 @@ the factors' tables instead of Dixon-Schneider; the class map must be a
 size- and order-preserving bijection.  Every table, a product one too,
 then passes an exact self-check of degrees and row orthonormality.
 
-The self-check's inner products and ``class_sum`` run on integer forms of
-the values (``_integer_forms``); when every value is rational, as in every
-table of S_n, the sum is one plain integer sum and ``_dot`` is skipped.  An
-irrational ``class_sum`` has no products to take: it adds the reduced
-power-basis numerators of its terms per conductor and canonicalizes once.
+The self-check's inner products, ``class_sum`` and ``column_sums`` run on
+integer forms of the values (``_integer_forms``); when every value is
+rational, as in every table of S_n, a sum is one plain integer sum and
+``_dot`` is skipped.  An irrational ``class_sum`` has no products to take:
+it adds the reduced power-basis numerators of its terms per conductor and
+canonicalizes once.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ from .cyclotomic import (
     _substitute,
     from_root_combination,
 )
-from .errors import MismatchedTablesError, TableComputationError
+from .errors import InvariantError, MismatchedTablesError, TableComputationError
 from .permcore import ConjugacyClassSet, Group, Permutation
 
 
@@ -238,12 +240,50 @@ def class_sum(f: ClassFunction, weights: dict[int, int], den: int = 1) -> Cyclot
     return _canonical(n, den * d, total)
 
 
+def column_sums(table: CharacterTable, coeffs: Sequence[Cyclotomic], where: str) -> list[Cyclotomic]:
+    """sum over i of coeffs[i] * chi_i(c) for every class c of the table: a
+    plain int sum per class when the coefficients and rows are all rational,
+    else one ``_dot``.  A row with a denominator (character values are
+    algebraic integers) raises InvariantError naming where."""
+    den, forms, rational = _integer_forms(coeffs)
+    rows = []
+    for i, chi in enumerate(table.irreducibles):
+        d, row, row_rational = chi._integer_form()
+        if d != 1:
+            raise InvariantError(f"{where}: character {i} has denominator {d}")
+        rows.append(row)
+        rational = rational and row_rational
+    if rational:
+        return [Cyclotomic._normal(1, den, (sum(map(mul, forms, col)),)) for col in zip(*rows)]
+    return [
+        _dot(((1, a, row[c]) for a, row in zip(forms, rows)), den)
+        for c in range(len(table.classes))
+    ]
+
+
+def _class_matrix_row(cs: ConjugacyClassSet, i: int, j: int) -> dict[int, int]:
+    """Row j of class matrix i: {l: a_ij^l} for the nonzero a_ij^l of
+    C_i * C_j = sum of a_ij^l * C_l, ascending in l.  Counting the triples
+    x*y = z in C_i x C_j x C_l both ways gives |C_l| * a_ij^l = |C_j| *
+    #{x in C_i : x * rep(j) in C_l}; a remainder raises TableComputationError."""
+    classes = cs.classes
+    size_j = classes[j].size
+    row = {}
+    for l, count in sorted(Counter(cs.product_classes(i, j)).items()):
+        a, rem = divmod(size_j * count, classes[l].size)
+        if rem:
+            raise TableComputationError(
+                f"class algebra: a_ij^l = {size_j * count}/{classes[l].size} is not "
+                f"an integer at classes i={i}, j={j}, l={l} ({cs.group!r})"
+            )
+        row[l] = a
+    return row
+
+
 def class_mult_coeff(classes: ConjugacyClassSet, a: int, b: int, c: int) -> int:
-    """Number of pairs (x, y) in class a x class b with x*y = rep(c)."""
-    # x * y = rep(c) exactly when y = x^-1 * rep(c), and x^-1 runs over the
-    # inverse class, the last entry of a's power column
-    (col,) = classes.product_classes(classes.power_columns[a][-1], (c,))
-    return col.count(b)
+    """Number of pairs (x, y) in class a x class b with x*y = rep(c): the
+    structure constant a_ab^c, from row b of class matrix a."""
+    return _class_matrix_row(classes, a, b).get(c, 0)
 
 
 class CharacterTable:
@@ -411,18 +451,6 @@ def _nullspace_mod(rows: list[list[int]], p: int, width: int) -> list[list[int]]
     return basis
 
 
-class _Subspace:
-    __slots__ = ("rows", "pivots")
-
-    def __init__(self, rows: list[list[int]], pivots: list[int]):
-        self.rows = rows
-        self.pivots = pivots
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
 # ---------------------------------------------------------------------------
 # Dixon-Schneider
 
@@ -435,37 +463,23 @@ def _choose_prime(exponent: int, order: int) -> int:
         p += exponent
 
 
-def _class_matrix_rows(cs: ConjugacyClassSet, i: int) -> list[list[tuple[int, int]]]:
-    """The class matrix M[j][l] = #{x in class i : x^-1 * rep(l) in class j},
-    exact, as one row per j of its (l, M[j][l]) pairs with M[j][l] != 0, in
-    ascending l.
-
-    x^-1 runs over the inverse class (the last entry of i's power column), so
-    column l counts the classes of y * rep(l) for y there.
-    """
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(len(cs))]
-    for l, col in enumerate(cs.product_classes(cs.power_columns[i][-1], range(len(cs)))):
-        for j, count in Counter(col).items():
-            rows[j].append((l, count))
-    return rows
-
-
-def _split_eigenspaces(
-    spaces: list[_Subspace], mat_rows: list[list[tuple[int, int]]], p: int
-) -> list[_Subspace]:
-    """Split each space into the eigenspaces of the class matrix M whose
-    rows are given as (column, value mod p) pairs, zeros left out."""
-    out: list[_Subspace] = []
-    for sp in spaces:
-        d = sp.dim
+def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]], p: int) -> list[tuple]:
+    """Split each space, a pair (rows, pivots) of its RREF basis and their
+    pivot columns, into the eigenspaces of a class matrix M, given by its
+    rows at the pivots of the spaces of dimension above 1."""
+    out = []
+    for space in spaces:
+        sp_rows, sp_pivots = space
+        d = len(sp_rows)
         if d == 1:
-            out.append(sp)
+            out.append(space)
             continue
         # matrix of the action restricted to the subspace, in RREF coordinates
         # (the space is M-invariant and its rows are in RREF, so the pivot
         # coordinates of M*s determine it)
         restricted = [
-            [sum(x * s[c] for c, x in mat_rows[r]) % p for s in sp.rows] for r in sp.pivots
+            [sum(x * s[c] for c, x in mat_rows[r].items()) % p for s in sp_rows]
+            for r in sp_pivots
         ]
         poly = _charpoly_mod(restricted, p)
         roots = [lam for lam in range(p) if _eval_poly_mod(poly, lam, p) == 0]
@@ -475,18 +489,15 @@ def _split_eigenspaces(
                 [(restricted[r][c] - (lam if r == c else 0)) % p for c in range(d)]
                 for r in range(d)
             ]
-            basis = _nullspace_mod(shifted, p, d)
-            if not basis:
-                continue
             amb_rows = []
-            for vec in basis:
-                acc = [0] * len(sp.rows[0])
-                for coef, srow in zip(vec, sp.rows):
+            for vec in _nullspace_mod(shifted, p, d):
+                acc = [0] * len(sp_rows[0])
+                for coef, srow in zip(vec, sp_rows):
                     if coef:
                         acc = [a + coef * x for a, x in zip(acc, srow)]
                 amb_rows.append([a % p for a in acc])
             rows, pivots = _rref_mod(amb_rows, p)
-            out.append(_Subspace(rows, pivots))
+            out.append((rows, pivots))
             covered += len(rows)
         if covered != d:
             raise TableComputationError("eigenspace splitting failed (non-split matrix)")
@@ -619,15 +630,15 @@ def _dixon_schneider_rows(G: Group, cs: ConjugacyClassSet) -> list[ClassFunction
 
     # split GF(p)^k into common eigenspaces of the class matrices
     identity_rows = [[int(i == j) for j in range(k)] for i in range(k)]
-    spaces = [_Subspace(identity_rows, list(range(k)))]
+    spaces = [(identity_rows, list(range(k)))]
     for ci in range(1, k):
-        if all(sp.dim == 1 for sp in spaces):
+        # the rows of class matrix ci that the unsplit spaces read
+        needed = {r for rows, pivots in spaces if len(rows) > 1 for r in pivots}
+        if not needed:
             break
-        mat_rows = [
-            [(l, v % p) for l, v in pairs if v % p] for pairs in _class_matrix_rows(cs, ci)
-        ]
+        mat_rows = {j: _class_matrix_row(cs, ci, j) for j in needed}
         spaces = _split_eigenspaces(spaces, mat_rows, p)
-    if any(sp.dim != 1 for sp in spaces):
+    if any(len(rows) != 1 for rows, _ in spaces):
         raise TableComputationError("class matrices did not split the group algebra")
 
     inv_map = cs.inverse_map()
@@ -649,9 +660,9 @@ def _dixon_schneider_rows(G: Group, cs: ConjugacyClassSet) -> list[ClassFunction
     # trivial rows repeat columns.
     lifted: dict[tuple[int, ...], Cyclotomic] = {}
     rows = []
-    for r, sp in enumerate(spaces):
+    for r, (basis, _) in enumerate(spaces):
         where = f"{G!r}, eigenspace {r}"
-        vec = sp.rows[0]
+        vec = basis[0]
         if vec[0] == 0:
             raise TableComputationError(f"degenerate central character ({where})")
         norm = modinv(vec[0], p)
@@ -720,15 +731,16 @@ def verify_class_algebra(table: CharacterTable) -> None:
     cs = table.classes
     k = len(cs)
     sizes = [cl.size for cl in cs.classes]
-    mats = [_class_matrix_rows(cs, i) for i in range(k)]
-    for cf in table.irreducibles:
-        d = cf.degree()
-        omega = [cf.values[j] * sizes[j] / d for j in range(k)]
-        for i in range(1, k):
-            for j, pairs in enumerate(mats[i]):
+    omegas = [
+        [cf.values[j] * sizes[j] / cf.degree() for j in range(k)] for cf in table.irreducibles
+    ]
+    for i in range(1, k):
+        for j in range(k):
+            row = _class_matrix_row(cs, i, j)
+            for omega in omegas:
                 lhs = ZERO
-                for l, count in pairs:
-                    lhs = lhs + omega[l] * count
+                for l, a in row.items():
+                    lhs = lhs + omega[l] * a
                 if lhs != omega[i] * omega[j]:
                     raise TableComputationError(
                         f"class algebra eigenvector check failed at classes {i},{j}"

@@ -17,11 +17,11 @@ tables keyed by reduced parameters, mates and mu elements.
 Past the character tables every step is an exact dot product of table rows
 with integer or cyclotomic weights: phi and nu are ``class_sum``s of a row
 (nu folds the 1/|C_G(g)| into the denominator), and the characters backend
-of gamma sums beta_chi * chi(c) for each class c.  All of them run on
-integer forms of the rows and canonicalize once per result: phi and nu of
-a rational row are one plain int sum, of an irrational row a coefficient-wise
-sum of its reduced forms (``class_sum``), and the gamma step goes through
-chartab's integer kernel ``_dot``.
+of gamma takes chartab's ``column_sums``, sum of beta_chi * chi(c) for each
+class c.  Both run on integer forms of the rows, which chartab alone
+builds, and canonicalize once per result: with rational rows and weights
+each is one plain int sum, else a coefficient-wise sum of reduced forms
+(``class_sum``) or chartab's integer kernel (``column_sums``).
 
 The FSZ rationality test works from the beta coefficients alone and skips
 parameter combinations that are forced rational.
@@ -39,11 +39,10 @@ from ._nt import divisors
 from .chartab import (
     CharacterTable,
     ClassFunction,
-    _dot,
-    _integer_forms,
     character_table,
     class_mult_coeff,
     class_sum,
+    column_sums,
 )
 from .cyclotomic import Cyclotomic, RationalityInfo, ZERO, rationality
 from .errors import BadDivisorError, InvariantError, NonCommutingPairError
@@ -188,7 +187,7 @@ class Session:
         table = self.centralizer_table(z_class)
         betas = [beta(self, z_class, m, i) for i in range(len(table.irreducibles))]
         out = []
-        sums = _character_sums(betas, table, f"gamma at z-class {z_class}, m={m}")
+        sums = column_sums(table, betas, f"gamma at z-class {z_class}, m={m}")
         for c, value in enumerate(sums):
             val = value.rational_value()
             if val is None or val.denominator != 1 or val < 0:
@@ -254,25 +253,6 @@ class Session:
 def _check_backend(backend: str) -> None:
     if backend not in ("characters", "cmc"):
         raise ValueError(f"unknown gamma backend {backend!r}")
-
-
-def _character_sums(
-    coeffs: Sequence[Cyclotomic], table: CharacterTable, where: str
-) -> list[Cyclotomic]:
-    """sum over i of coeffs[i] * chi_i(c) for every class c of the table, one
-    ``_dot`` per class on integer forms.  The rows must need no denominator,
-    as character values are algebraic integers."""
-    den, forms, _ = _integer_forms(coeffs)
-    rows = []
-    for i, chi in enumerate(table.irreducibles):
-        d, row, _ = chi._integer_form()
-        if d != 1:
-            raise InvariantError(f"{where}: character {i} has denominator {d}")
-        rows.append(row)
-    return [
-        _dot(((1, a, row[c]) for a, row in zip(forms, rows)), den)
-        for c in range(len(table.classes))
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -518,16 +518,14 @@ class ConjugacyClassSet:
     def inverse_map(self) -> tuple[int, ...]:
         return self.power_map(-1)
 
-    def product_classes(self, i: int, cols: Iterable[int]) -> Iterator[list[int]]:
-        """For each l in cols, the class index of y * rep(l) for every y in
-        class i, in the order of the class's members."""
+    def product_classes(self, i: int, l: int) -> list[int]:
+        """The class index of y * rep(l) for every y in class i, in the order
+        of the class's members: one packed product per member, whose class
+        the index gives."""
         G = self.group
-        compose, pad = G._compose, G._pad
-        index, position = self._index.__getitem__, self._position.__getitem__
-        tables = [y + pad for y in self.classes[i].members]
-        for l in cols:
-            r = G._pack(self.classes[l].rep.img)
-            yield list(map(position, map(index, map(compose, repeat(r), tables))))
+        r, pad = G._pack(self.classes[l].rep.img), G._pad
+        products = map(G._compose, repeat(r), [y + pad for y in self.classes[i].members])
+        return list(map(self._position.__getitem__, map(self._index.__getitem__, products)))
 
 
 def _checked_order(G: Group) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from fszd import ClassFunction, Group, Permutation, Session, construct_group
+from fszd import ClassFunction, Group, Permutation, Session, construct_group, sqrt_cyclotomic
 from fszd._nt import euler_phi
 
 # SL(2,3) acting on the eight nonzero vectors of F_3^2
@@ -51,6 +51,20 @@ def group():
 @pytest.fixture(scope="session")
 def session_for():
     return get_session
+
+
+@pytest.fixture
+def sqrt5_beta_at_chi_3(monkeypatch):
+    """beta returns sqrt(5) at chi = 3: no group of the corpus fails FSZ, so
+    an irrational real beta stands in for one."""
+    import fszd.indicators as indicators
+
+    real = indicators.beta
+
+    def planted(session, z_class, m, chi_index):
+        return sqrt_cyclotomic(5) if chi_index == 3 else real(session, z_class, m, chi_index)
+
+    monkeypatch.setattr(indicators, "beta", planted)
 
 
 def is_normal_form(v) -> bool:

@@ -33,7 +33,7 @@ from fszd import (
 )
 
 from fszd.errors import InvariantError
-from fszd.indicators import _character_sums
+from fszd.chartab import column_sums
 
 from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, is_normal_form, two_generator_groups
 
@@ -387,7 +387,7 @@ def test_kernel_sums_match_cyclotomic_reference(data):
         got = class_sum(ClassFunction(table.classes, values), weights, den)
         assert (got.conductor, got.den, got.nums) == (1, 1, (0,))
     coeffs = data.draw(mixed_values(k))
-    got = _character_sums(coeffs, table, "test")
+    got = column_sums(table, coeffs, "test")
     assert got == _reference_character_sums(coeffs, table)
     assert all(map(_is_canonical, got))
 
@@ -399,7 +399,7 @@ def test_character_sums_reject_a_row_with_a_denominator():
     table = _corrupted("S4", 1, halve)
     coeffs = [Cyclotomic.rational(1)] * len(table.classes)
     with pytest.raises(InvariantError, match=r"test: character 1 has denominator 2"):
-        _character_sums(coeffs, table, "test")
+        column_sums(table, coeffs, "test")
 
 
 def test_integer_arithmetic_builds_no_fraction(monkeypatch):
@@ -580,6 +580,15 @@ def test_charpoly_matches_berkowitz_reference():
                 assert got == want, (kind, n, p, a)
 
 
+# L2(31) = PSL(2, 31) on the projective line GF(31) u {inf}, x as point
+# x + 1 and inf as point 32, generated by x -> x + 1 and x -> -1/x: order
+# 14880, 18 classes
+L2_31_SPEC = (
+    "perm:(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31);"
+    "(1,32)(2,31)(3,16)(4,11)(5,24)(6,7)(8,23)(9,28)(10,25)(12,15)(13,19)(14,20)(17,30)(18,21)"
+    "(22,29)(26,27)"
+)
+
 TABLE_DIGESTS = {
     "C25": "ecd0d0ba8b5d9c2464b618d280a18ebbe7d5055bd134ccff119bcd8b9cfdad2b",
     "C5xC5": "4b78c632a9c2846c4a7c01d354da7be5ed785818e1e8624ff591d1bb5ab0e983",
@@ -587,6 +596,7 @@ TABLE_DIGESTS = {
     SL23_SPEC: "8bc10bd34551696642f1c50b256e97ef739b9d763aa5d79bf9943a1a4d175ec4",
     "S8": "a8f7ec446718ec5b18525bec707ea3677274982d5373dcb6e84918304eda33e6",
     "C3xC3xC3xC2": "c3830ed2e7b2745b4109630d86e0955793d69a6dbcf545f5ea67bf6e44c88b79",
+    L2_31_SPEC: "4c8aee8c21982898f0772ed895ed5d200e4fd5109140d3e4b5b88486f2aec682",
 }
 
 
@@ -696,6 +706,35 @@ def test_rational_rows_sum_as_dot_does(data):
         assert got == _dot(((w, forms[c], 1) for c, w in weights.items()), den * d)
         assert got == _reference_class_sum(a, weights, den)
         assert _is_canonical(got)
+
+
+@given(st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_rational_column_sums_match_dot(data):
+    """column_sums with rational coefficients over a table whose rows are
+    all rational is one plain integer sum per class, which never reaches
+    _dot; it must give exactly what _dot gives."""
+    import fszd.chartab as chartab
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_dot used on a rational table")
+
+    table = character_table(get_group(data.draw(st.sampled_from(("S4", "S5", "C2xS5", "Q8")))))
+    k = len(table.classes)
+    coeffs = [Cyclotomic.rational(q) for q in data.draw(rational_values(k))]
+    den, forms, _ = chartab._integer_forms(coeffs)
+    rows = []
+    for chi in table.irreducibles:
+        d, row, rational = chi._integer_form()
+        assert d == 1 and rational
+        rows.append(row)
+    want = [chartab._dot(((1, a, row[c]) for a, row in zip(forms, rows)), den) for c in range(k)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(chartab, "_dot", forbidden)
+        got = column_sums(table, coeffs, "test")
+    assert got == want
+    assert got == _reference_character_sums(coeffs, table)
+    assert all(map(_is_canonical, got))
 
 
 # -- direct products by orbit decomposition -------------------------------------
@@ -865,3 +904,41 @@ def test_product_mutations_raise_typed_errors(flags):
         "row orthogonality check failed for Group[C4xC4]",
         "row orthogonality check failed for Group[S4xS3]",
     ]
+
+
+_STRUCTURE_CONSTANT_MUTATION = """
+from fszd import TableComputationError, character_table, class_mult_coeff, construct_group
+from fszd import verify_class_algebra
+
+G = construct_group("S4")
+table = character_table(G)
+cs = G.conjugacy_classes()
+cs.classes[1].size += 1  # 3 -> 4: the double transpositions
+G._chartab = None
+for call in (
+    lambda: class_mult_coeff(cs, 2, 1, 1),
+    lambda: verify_class_algebra(table),
+    lambda: character_table(G),
+):
+    try:
+        call()
+    except TableComputationError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_non_integral_structure_constant_raises_a_typed_error(flags):
+    # every caller of the class-matrix rows divides by class sizes; a wrong
+    # size leaves a remainder, which must raise even with asserts stripped
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _STRUCTURE_CONSTANT_MUTATION],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    # transposition * (1,2)(3,4) is a transposition twice: 4 * 2 / 6
+    assert out[0] == "class algebra: a_ij^l = 8/6 is not an integer at classes i=2, j=1, l=2 (Group[S4])"
+    # row 0 of class matrix 1 is class 1 itself: 1 * 3 / 4
+    assert out[1:] == ["class algebra: a_ij^l = 3/4 is not an integer at classes i=1, j=0, l=1 (Group[S4])"] * 2
+

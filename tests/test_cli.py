@@ -91,6 +91,13 @@ def test_fsz_exit_codes(capsys):
     assert code == 0 and "FSZ_5: true" in out
 
 
+def test_fsz_false_prints_the_witness_and_exits_1(capsys, sqrt5_beta_at_chi_3):
+    code, out, _ = run(capsys, "fsz", "--group", "C25")
+    assert (code, out) == (1, "FSZ: false  (witness: z-class 1, m=5, chi=3)\n")
+    code, out, _ = run(capsys, "fsz", "--group", "C25", "--d", "5")
+    assert code == 0 and out.startswith("FSZ_5: true")
+
+
 def test_fsz_bad_d_exit_2_before_classes(capsys):
     code, out, err = run(capsys, "fsz", "--group", "S12", "--d", "0")
     assert code == 2 and out == ""

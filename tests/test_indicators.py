@@ -752,6 +752,13 @@ def test_fsz_computes_betas_when_needed():
     assert result.verdict and result.betas_checked == 25
 
 
+def test_fsz_false_names_the_first_irrational_beta(sqrt5_beta_at_chi_3):
+    result = fsz_test(construct_group("C25"))
+    assert (result.verdict, result.witness, result.betas_checked) == (False, (1, 5, 3), 4)
+    # sqrt(5) lies in Q(zeta_5), so FSZ_5 still holds
+    assert fsz_test(construct_group("C25"), d=5).verdict
+
+
 def test_fsz_d_parameter():
     assert fsz_test(construct_group("C5xC5"), d=5).verdict
     assert fsz_test(get_group("Q8"), d=2).verdict
