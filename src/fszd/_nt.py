@@ -49,11 +49,39 @@ def euler_phi(n: int) -> int:
     return out
 
 
+# the first 13 primes; no odd composite below _SPRP_LIMIT is a strong
+# probable prime to all of them (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86, 2017)
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SPRP_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: Miller-Rabin to the first 13 prime bases below
+    _SPRP_LIMIT, where it is proven deterministic, and ``factorize`` above."""
     if n < 2:
         return False
-    f = factorize(n)
-    return len(f) == 1 and f[0][1] == 1
+    for q in _SPRP_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    if n >= _SPRP_LIMIT:
+        f = factorize(n)
+        return len(f) == 1 and f[0][1] == 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def modinv(a: int, p: int) -> int:

@@ -28,24 +28,38 @@ G_i and its irreducibles the products chi_1 x ... x chi_r (Isaacs,
 *Character Theory of Finite Groups*, Thm 4.21), so its table is read off
 the factors' tables instead of Dixon-Schneider; the class map must be a
 size- and order-preserving bijection.  Every table, a product one too,
-then passes an exact self-check of degrees and row orthonormality.
+then passes an exact self-check of degrees and row orthonormality
+(``_quick_check``).  A table whose rows are all rational, as every table of
+S_n, takes the k(k+1)/2 inner products, each one plain integer sum.  Any
+other table is certified instead (``_row_certificate``): its rows must be
+closed under the Galois group of Q(zeta_exp(G)), and then one Gram matrix
+modulo a prime above a norm bound proves every relation exactly.
 
-The self-check's inner products, ``class_sum`` and ``column_sums`` run on
-integer forms of the values (``_integer_forms``); when every value is
-rational, as in every table of S_n, a sum is one plain integer sum and
-``_dot`` is skipped.  An irrational ``class_sum`` has no products to take:
-it adds the reduced power-basis numerators of its terms per conductor and
-canonicalizes once.
+``inner_product``, ``class_sum`` and ``column_sums`` run on integer forms
+of the values (``_integer_forms``); when every value is rational a sum is
+one plain integer sum and ``_dot`` is skipped.  An irrational
+``class_sum`` has no products to take: it adds the reduced power-basis
+numerators of its terms per conductor and canonicalizes once.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from operator import attrgetter, mul
 from typing import Sequence
 
-from ._nt import divisors, euler_phi, is_prime, modinv, primitive_root, tonelli_sqrt
+from ._nt import (
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+    modinv,
+    prime_factors,
+    primitive_root,
+    tonelli_sqrt,
+)
 from .cyclotomic import (
     Cyclotomic,
     ZERO,
@@ -455,12 +469,17 @@ def _nullspace_mod(rows: list[list[int]], p: int, width: int) -> list[list[int]]
 # Dixon-Schneider
 
 
+def _prime_above(e: int, bound: int) -> int:
+    """The least prime p = 1 mod e with p > bound."""
+    p = bound + 1 + (-bound) % e
+    while not is_prime(p):
+        p += e
+    return p
+
+
 def _choose_prime(exponent: int, order: int) -> int:
-    p = exponent + 1
-    while True:
-        if p * p > 4 * order and is_prime(p):
-            return p
-        p += exponent
+    """The least prime p = 1 mod exp(G) with p^2 > 4|G|."""
+    return _prime_above(exponent, math.isqrt(4 * order))
 
 
 def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]], p: int) -> list[tuple]:
@@ -704,12 +723,19 @@ def _dixon_schneider_rows(G: Group, cs: ConjugacyClassSet) -> list[ClassFunction
 
 
 def _quick_check(table: CharacterTable) -> None:
-    """Fail-fast internal validation: degrees and row orthonormality."""
+    """Exact validation of every built table: the degrees squared sum to
+    |G|, and the rows are orthonormal.  A table whose rows are all rational
+    takes the k(k+1)/2 inner products, each one plain integer sum; any other
+    table passes ``_row_certificate``, which proves the same relations with
+    one Gram matrix mod a prime.  A failure raises TableComputationError."""
     n = table.group.order()
     degs = table.degrees
     if sum(d * d for d in degs) != n:
         raise TableComputationError(f"degree sum check failed for {table.group!r}")
     irr = table.irreducibles
+    if not all(chi._integer_form()[2] for chi in irr):
+        _row_certificate(table)
+        return
     for i in range(len(irr)):
         for j in range(i, len(irr)):
             ip = inner_product(irr[i], irr[j])
@@ -718,6 +744,147 @@ def _quick_check(table: CharacterTable) -> None:
                     f"row orthogonality check failed for {table.group!r}: "
                     f"<chi_{i}, chi_{j}> = {ip!r}"
                 )
+
+
+@lru_cache(maxsize=None)
+def _unit_generators(e: int) -> tuple[int, ...]:
+    """Generators of (Z/e)^x in [2, e): for each prime power q^a || e the
+    generators of (Z/q^a)^x (a primitive root mod q^a for odd q; -1 and 5
+    for q = 2), each lifted by CRT to 1 mod e/q^a."""
+    gens = []
+    for q, a in factorize(e):
+        qa = q**a
+        rest = e // qa
+        if q == 2:
+            local = (-1, 5)[: min(a - 1, 2)]
+        else:
+            g = primitive_root(q)
+            # g generates mod every q^a unless g^(q-1) = 1 mod q^2
+            local = (g + q if a > 1 and pow(g, q - 1, q * q) == 1 else g,)
+        for g in local:
+            r = (1 + rest * ((g - 1) * pow(rest, -1, qa) % qa)) % e
+            if r != 1:
+                gens.append(r)
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def _certificate_prime(e: int, bound: int) -> tuple[int, int]:
+    """(p, w): the least prime p = 1 mod e with p > bound, and the first
+    power w = a^((p-1)/e), a = 1, 2, ..., of order e mod p.  The order is
+    checked by w^(e/q) != 1 for the primes q | e, so p - 1 is not factored."""
+    p = _prime_above(e, bound)
+    qs = prime_factors(e)
+    a = 1
+    while True:
+        w = pow(a, (p - 1) // e, p)
+        if all(pow(w, e // q, p) != 1 for q in qs):
+            return p, w
+        a += 1
+
+
+def _gram_rows(vals: list[list[int]], sizes: list[int], p: int):
+    """Row i of the upper triangle of the Gram matrix mod p: the sums over
+    classes c of |C_c| * vals[i][c] * vals[l][c], for l = i, ..., k - 1."""
+    for i, row in enumerate(vals):
+        left = list(map(mul, sizes, row))
+        yield [sum(map(mul, left, right)) % p for right in vals[i:]]
+
+
+def _row_certificate(table: CharacterTable) -> None:
+    """Prove sum_c |C_c| chi_i(c) conj(chi_j(c)) = |G| delta_ij exactly, for
+    a table with irrational rows, by one Gram matrix mod a prime p.
+
+    With e = exp(G) and k the class count:
+    1. every value is an algebraic integer of Q(zeta_e): its ``den`` is 1
+       and its conductor divides e;
+    2. the rows are distinct, and for r = -1 and each generator r of
+       (Z/e)^x (``_unit_generators``) the value-wise image sigma_r(chi_i) of
+       every row is a row; r = -1 gives the conjugate row conj(i);
+    3. B = sum_c |C_c| M_c^2 + |G|, where M_c is the largest l1 norm of the
+       power-basis numerators in column c, bounds every complex embedding
+       of alpha_il = sum_c |C_c| chi_i(c) chi_l(c) - |G| [l = conj(i)],
+       since a value's numerators bound its absolute value;
+    4. p is the least prime = 1 mod e above B and w has order e mod p, so
+       iota: zeta_n -> w^(e/n) is a ring map Z[zeta_e] -> GF(p), whose
+       kernel P is a prime above p (``_certificate_prime``);
+    5. iota(alpha_il) = 0 mod p for all i <= l (``_gram_rows``); the Gram
+       matrix is symmetric and conj an involution, so that is every pair.
+
+    Why this is exact: closure makes the Galois group permute the rows, so
+    tau(alpha_il) = alpha_{tau i, tau l} lies in P for every tau, that is
+    alpha_il lies in every prime above p.  As p does not divide e it is
+    unramified, so alpha_il is in p Z[zeta_e].  A nonzero alpha_il would
+    then have |N(alpha_il)| >= p^phi(e) > B^phi(e) >= |N(alpha_il)|; hence
+    alpha_il = 0.  Since conj(chi_l) = chi_conj(l), these are the
+    orthonormality relations.  The certificate is a proof, not a
+    probabilistic test, and the bound reads the stored values, so it does
+    not presume the rows are characters.  Every failure raises
+    TableComputationError, also under ``python -O``.
+    """
+    G, cs = table.group, table.classes
+    e, n, k = cs.exponent, G.order(), len(cs)
+    fail = f"row orthogonality check failed for {G!r}:"
+    # step 1; with den 1 the integer forms are the values' own numerators,
+    # so they key the distinct values, and each row is coded as value ids
+    rows = []
+    value_of: dict = {}
+    for i, chi in enumerate(table.irreducibles):
+        d, forms, _ = chi._integer_form()
+        if d != 1:
+            raise TableComputationError(f"{fail} character {i} has a value with denominator {d}")
+        rows.append(forms)
+        value_of.update(zip(forms, chi.values))
+    reps = list(value_of.values())
+    for v in reps:
+        if e % v.conductor:
+            raise TableComputationError(f"{fail} value {v!r} is not in Q(zeta_{e})")
+    ids = {form: x for x, form in enumerate(value_of)}
+    coded = [tuple(map(ids.__getitem__, forms)) for forms in rows]
+
+    # step 2
+    index = {row: i for i, row in enumerate(coded)}
+    if len(index) != k:
+        raise TableComputationError(f"{fail} two rows are equal")
+    rep_id = {v: x for x, v in enumerate(reps)}
+    for r in (-1, *(r for r in _unit_generators(e) if r != e - 1)):
+        image = [rep_id.get(v.galois(r)) for v in reps]
+        perm = [index.get(tuple(map(image.__getitem__, row))) for row in coded]
+        if None in perm:
+            raise TableComputationError(
+                f"{fail} sigma_{r} of character {perm.index(None)} is not a row"
+            )
+        if r == -1:
+            conj = perm
+
+    # step 3
+    norms = [sum(map(abs, v.nums)) for v in reps]
+    sizes = [cl.size for cl in cs.classes]
+    bound = n + sum(
+        size * max(map(norms.__getitem__, col)) ** 2 for size, col in zip(sizes, zip(*coded))
+    )
+
+    # step 4
+    p, w = _certificate_prime(e, bound)
+    iota = []
+    for v in reps:
+        wm = pow(w, e // v.conductor, p)
+        acc = 0
+        for c in reversed(v.nums):
+            acc = (acc * wm + c) % p
+        iota.append(acc)
+
+    # step 5
+    vals = [list(map(iota.__getitem__, row)) for row in coded]
+    for i, got in enumerate(_gram_rows(vals, sizes, p)):
+        want = [0] * (k - i)
+        if conj[i] >= i:
+            want[conj[i] - i] = n % p
+        if got != want:
+            l = next(l for l, (a, b) in enumerate(zip(got, want)) if a != b)
+            raise TableComputationError(
+                f"{fail} Gram entry ({i}, {i + l}) is {got[l]} mod {p}, expected {want[l]}"
+            )
 
 
 def verify_class_algebra(table: CharacterTable) -> None:

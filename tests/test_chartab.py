@@ -498,16 +498,182 @@ def test_self_check_rejects_a_scaled_row():
 def test_self_check_takes_every_pair(monkeypatch):
     import fszd.chartab as chartab
 
-    # Q8xC3 is the product of its orbit groups, whose tables are checked as
-    # well; count the pairs on G's own class set
+    # C2xS5 is the product of its orbit groups, whose tables are checked as
+    # well; count the pairs on G's own class set.  Its rows are rational, so
+    # each pair is one inner product
     calls = []
     inner = chartab.inner_product
     monkeypatch.setattr(chartab, "inner_product", lambda f, g: calls.append(f.classes) or inner(f, g))
-    G = construct_group("Q8xC3")
+    G = construct_group("C2xS5")
     cs = G.conjugacy_classes()
     k = len(cs)
     character_table(G)
     assert sum(classes is cs for classes in calls) == k * (k + 1) // 2
+
+
+def test_certificate_takes_every_pair(monkeypatch):
+    import fszd.chartab as chartab
+
+    # Q8xC3 has irrational rows: its check is the certificate's Gram matrix
+    # mod p, whose upper triangle covers every pair, without inner products
+    G = construct_group("Q8xC3")
+    table = character_table(G)
+    k = len(table.classes)
+    assert not all(chi._integer_form()[2] for chi in table.irreducibles)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact inner product used on an irrational table")
+
+    entries = []
+    gram_rows = chartab._gram_rows
+
+    def counting(vals, sizes, p):
+        for row in gram_rows(vals, sizes, p):
+            entries.append(len(row))
+            yield row
+
+    monkeypatch.setattr(chartab, "inner_product", forbidden)
+    monkeypatch.setattr(chartab, "_dot", forbidden)
+    monkeypatch.setattr(chartab, "_gram_rows", counting)
+    chartab._quick_check(table)
+    assert entries == list(range(k, 0, -1))
+    assert sum(entries) == k * (k + 1) // 2
+
+
+# -- the row certificate ---------------------------------------------------------
+
+
+def test_is_prime_matches_factorize():
+    from fszd._nt import factorize, is_prime
+
+    for n in range(1, 10**5 + 1):
+        f = factorize(n)
+        assert is_prime(n) == (len(f) == 1 and f[0][1] == 1), n
+    # strong pseudoprimes to the bases 2..7 and 2..23: the remaining bases
+    # must catch them
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n)
+        assert len(factorize(n)) > 1
+    assert is_prime(2**61 - 1) and is_prime(10**9 + 7)
+    assert not is_prime((2**31 - 1) * (10**9 + 7))
+    # above the proven range is_prime factorizes
+    assert not is_prime(43**16) and 43**16 > 3.3e24
+
+
+def test_unit_generators_generate_the_unit_group():
+    from fszd.chartab import _unit_generators
+
+    for e in range(1, 400):
+        units = {r for r in range(e) if math.gcd(r, e) == 1} if e > 1 else {0}
+        gens = _unit_generators(e)
+        assert set(gens) <= units and 1 not in gens
+        reached = {1 % e}
+        frontier = reached
+        while frontier:
+            frontier = {x * g % e for x in frontier for g in gens} - reached
+            reached |= frontier
+        assert reached == units, e
+
+
+def test_certificate_prime_is_the_least_above_the_bound():
+    from fszd._nt import is_prime, prime_factors
+    from fszd.chartab import _certificate_prime
+
+    for e in (1, 2, 3, 4, 5, 12, 25, 60, 125, 840):
+        for bound in (1, e, 97, 2125, 10**6):
+            p, w = _certificate_prime(e, bound)
+            assert p > bound and p % e == 1 % e and is_prime(p)
+            assert not any(is_prime(q) for q in range(bound + 1, p) if q % e == 1 % e)
+            assert pow(w, e, p) == 1
+            assert all(pow(w, e // q, p) != 1 for q in prime_factors(e))
+
+
+def test_certificate_prime_must_exceed_the_bound(monkeypatch):
+    import fszd.chartab as chartab
+
+    # 13 = 1 mod exp(Q8xC3) = 12.  The trivial row is fixed by every sigma_r,
+    # so moving one of its values by 13 keeps the table closed, and the
+    # table is congruent to the true one mod 13: a Gram check mod 13 accepts
+    # it.  The bound then exceeds 13, and the prime above it rejects it
+    q = 13
+
+    def move(values):
+        values[1] = values[1] + q
+
+    bad = _corrupted("Q8xC3", character_table(get_group("Q8xC3")).trivial_index(), move)
+    real = chartab._certificate_prime
+    bounds = []
+
+    def below_the_bound(e, bound):
+        bounds.append(bound)
+        return real(e, q - 1)
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "_certificate_prime", below_the_bound)
+        chartab._quick_check(bad)
+    assert real(12, q - 1)[0] == q < bounds[0]
+    with pytest.raises(TableComputationError, match=r"failed for Group\[Q8xC3\]: Gram entry"):
+        chartab._quick_check(bad)
+
+
+_CERTIFICATE_MUTATIONS = """
+from fractions import Fraction
+
+from fszd import ClassFunction, TableComputationError, character_table, construct_group, from_root
+from fszd.chartab import CharacterTable, _quick_check
+
+
+def corrupted(spec, r, change):
+    table = character_table(construct_group(spec))
+    rows = list(table.irreducibles)
+    values = list(rows[r].values)
+    change(values, [row.values for row in rows])
+    rows[r] = ClassFunction(table.classes, values)
+    return CharacterTable(table.group, table.classes, rows)
+
+
+def set_value(c, value):
+    def change(values, rows):
+        values[c] = value(values[c], rows)
+
+    return change
+
+
+Q8xC3 = character_table(construct_group("Q8xC3"))
+for table in (
+    corrupted("C5xC5", 3, set_value(2, lambda v, rows: v * Fraction(1, 2))),
+    corrupted("C5", 1, set_value(1, lambda v, rows: from_root(1, 4))),
+    corrupted("C5", 1, set_value(1, lambda v, rows: rows[1][2])),
+    corrupted("C5", 2, lambda values, rows: values.__setitem__(slice(None), rows[1])),
+    corrupted("Q8xC3", Q8xC3.trivial_index(), set_value(1, lambda v, rows: v + 13)),
+):
+    try:
+        _quick_check(table)
+    except TableComputationError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_certificate_failures_raise_typed_errors(flags):
+    # pytest's own asserts vanish under -O, so run the mutations in a child:
+    # a denominator, a value outside Q(zeta_e), a row whose Galois images
+    # are not rows (a second z^2 in C5's row (1, z, z^2, z^3, z^4)), two
+    # equal rows, and a value moved by 13 = 1 mod 12, which only the Gram
+    # matrix mod a prime above the bound catches
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _CERTIFICATE_MUTATIONS],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 5
+    assert all(line.startswith("row orthogonality check failed for Group[") for line in out)
+    assert out[0].endswith("C5xC5]: character 3 has a value with denominator 2")
+    assert out[1].endswith("C5]: value Cyclotomic[ζ4] is not in Q(zeta_5)")
+    assert "C5]: sigma_" in out[2] and out[2].endswith("is not a row")
+    assert out[3].endswith("C5]: two rows are equal")
+    assert "Q8xC3]: Gram entry " in out[4]
 
 
 def test_non_residue_degree_raises_typed_error(monkeypatch):
@@ -663,7 +829,8 @@ def test_corrupted_rational_value_fails_the_integer_self_check(monkeypatch):
     assert corrupted and corrupted[0].is_rational()
 
 
-RATIONAL_SPECS = ("S4", "S5", "C2xS5", "D4xC3", "Q8")
+# every row of these tables is rational
+RATIONAL_SPECS = ("S4", "S5", "C2xS5", "Q8")
 
 
 @st.composite
@@ -719,7 +886,7 @@ def test_rational_column_sums_match_dot(data):
     def forbidden(*args, **kwargs):
         raise AssertionError("_dot used on a rational table")
 
-    table = character_table(get_group(data.draw(st.sampled_from(("S4", "S5", "C2xS5", "Q8")))))
+    table = character_table(get_group(data.draw(st.sampled_from(RATIONAL_SPECS))))
     k = len(table.classes)
     coeffs = [Cyclotomic.rational(q) for q in data.draw(rational_values(k))]
     den, forms, _ = chartab._integer_forms(coeffs)
@@ -942,3 +1109,50 @@ def test_non_integral_structure_constant_raises_a_typed_error(flags):
     # row 0 of class matrix 1 is class 1 itself: 1 * 3 / 4
     assert out[1:] == ["class algebra: a_ij^l = 3/4 is not an integer at classes i=1, j=0, l=1 (Group[S4])"] * 2
 
+
+def _certificate_gram(monkeypatch, table):
+    """(p, the upper triangle of the Gram matrix mod p) that
+    ``_row_certificate`` checks on table."""
+    import fszd.chartab as chartab
+
+    primes, rows = [], []
+    gram_rows = chartab._gram_rows
+
+    def recording(vals, sizes, p):
+        primes.append(p)
+        for row in gram_rows(vals, sizes, p):
+            rows.append(row)
+            yield row
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "_gram_rows", recording)
+        chartab._row_certificate(table)
+    return primes[0], rows
+
+
+def _assert_gram_matches_inner_products(monkeypatch, table):
+    p, gram = _certificate_gram(monkeypatch, table)
+    irr = table.irreducibles
+    conj = [ClassFunction(table.classes, [v.galois(-1) for v in chi.values]) for chi in irr]
+    n = table.group.order()
+    assert [len(row) for row in gram] == list(range(len(irr), 0, -1))
+    for i, row in enumerate(gram):
+        for l, got in enumerate(row, start=i):
+            # |G| <chi_i, conj(chi_l)> = sum of |C_c| chi_i(c) chi_l(c)
+            assert got == (inner_product(irr[i], conj[l]) * n).as_integer() % p
+
+
+# every table the tests pin or the benchmark sweeps
+CERTIFIED_SPECS = tuple(dict.fromkeys(ACCEPTANCE_SPECS + SWEEP_SPECS + tuple(TABLE_DIGESTS)))
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS)
+def test_certificate_gram_matches_exact_inner_products(monkeypatch, spec):
+    _assert_gram_matches_inner_products(monkeypatch, character_table(get_group(spec)))
+
+
+@given(two_generator_groups())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_certificate_gram_matches_on_random_groups(G):
+    with pytest.MonkeyPatch.context() as m:
+        _assert_gram_matches_inner_products(m, character_table(G))
