@@ -1,20 +1,37 @@
-"""Exact ordinary character tables via the Dixon-Schneider algorithm.
+"""Exact ordinary character tables, by the first of four routes that applies.
 
-Class multiplication matrices are diagonalized simultaneously over GF(p) for
-the smallest prime p = 1 mod exp(G) with p^2 > 4|G|; central characters are
-read off the one-dimensional common eigenspaces, degrees recovered through
-the orthogonality relation, and values lifted to Q(zeta_exp(G)) by counting
-root-of-unity multiplicities along each class's power column (the classes
-of rep**t for t < o(rep), which the class set keeps).  Everything is
-deterministic: smallest prime, smallest primitive root, classes and
-eigenvalues in ascending order.
+Each route is picked by a structural test that holds exactly:
+
+1. Orbit product: G's generators have r >= 2 nontrivial orbits and |G| is
+   the product of the orders of the groups the orbits induce (below).
+2. Cyclic: some class has element order |G|, so its rep x generates G, and
+   chi_j(x^t) = zeta_|G|^(jt) for j < |G| (``_cyclic_rows``).
+3. Symmetric: |G| = k! for the k points G's generators move.  G lies in
+   the symmetric group on those points, which has order k!, so it is that
+   group.  Row lambda at a class is chi_lambda at the rep's cycle type on
+   the k points, by the Murnaghan-Nakayama rule on beta-sets (James &
+   Kerber, *The Representation Theory of the Symmetric Group*, 1981, 2.4;
+   ``_symmetric_rows``).
+4. Dixon-Schneider, for every other group.
+
+Every route shares each distinct value object among its rows.
+
+Dixon-Schneider diagonalizes the class multiplication matrices
+simultaneously over GF(p) for the smallest prime p = 1 mod exp(G) with
+p^2 > 4|G|; central characters are read off the one-dimensional common
+eigenspaces, degrees recovered through the orthogonality relation, and
+values lifted to Q(zeta_exp(G)) by counting root-of-unity multiplicities
+along each class's power column (the classes of rep**t for t < o(rep),
+which the class set keeps).  Everything is deterministic: smallest prime,
+smallest primitive root, classes and eigenvalues in ascending order.
 
 The GF(p) stages follow Schneider ("Dixon's character table algorithm
 revisited", J. Symb. Comput. 9, 1990) in building, on demand, only the
 class matrix rows a split reads: those at the pivots of unsplit spaces.
 Row j of class matrix i, the a_ij^l of C_i * C_j = sum of a_ij^l * C_l, is
-one pass over C_i by triple counting (``_class_matrix_row``).  The
-characteristic polynomial of a class matrix restricted to an eigenspace is
+one pass over C_i by triple counting (``_class_matrix_row``).  A class
+matrix that acts on a space as a scalar splits nothing, and the space is
+kept as it is; else the characteristic polynomial of the restriction is
 taken in O(d^3) through Hessenberg form (``_charpoly_mod``).  The
 multiplicity lift of a value is a function of its GF(p) column alone, so
 each distinct column is lifted and checked once per table; a Galois
@@ -26,14 +43,16 @@ the direct product of the G_i: restriction to the orbits is injective, and
 equal orders make it onto.  Its classes are the tuples of classes of the
 G_i and its irreducibles the products chi_1 x ... x chi_r (Isaacs,
 *Character Theory of Finite Groups*, Thm 4.21), so its table is read off
-the factors' tables instead of Dixon-Schneider; the class map must be a
-size- and order-preserving bijection.  Every table, a product one too,
-then passes an exact self-check of degrees and row orthonormality
-(``_quick_check``).  A table whose rows are all rational, as every table of
-S_n, takes the k(k+1)/2 inner products, each one plain integer sum.  Any
-other table is certified instead (``_row_certificate``): its rows must be
-closed under the Galois group of Q(zeta_exp(G)), and then one Gram matrix
-modulo a prime above a norm bound proves every relation exactly.
+the factors' tables; the class map must be a size- and order-preserving
+bijection.
+
+Every table, whichever route built it, then passes an exact self-check of
+degrees and row orthonormality (``_quick_check``).  A table whose rows are
+all rational, as every table of S_n, takes the k(k+1)/2 inner products,
+each one plain integer sum.  Any other table is certified instead
+(``_row_certificate``): its rows must be closed under the Galois group of
+Q(zeta_exp(G)), and then one Gram matrix modulo a prime above a norm bound
+proves every relation exactly.
 
 ``inner_product``, ``class_sum`` and ``column_sums`` run on integer forms
 of the values (``_integer_forms``); when every value is rational a sum is
@@ -66,6 +85,7 @@ from .cyclotomic import (
     _canonical,
     _reduce,
     _substitute,
+    from_root,
     from_root_combination,
 )
 from .errors import InvariantError, MismatchedTablesError, TableComputationError
@@ -140,18 +160,23 @@ def _integer_forms(values: Sequence[Cyclotomic]) -> tuple[int, tuple, bool]:
     """(D, forms, rational) with D the lcm of the values' denominators, one
     form per value v: the int D*v when v is rational, else
     (conductor, ((j, c), ...)) with D*v = sum of c * zeta^j over the nonzero
-    power-basis numerators; rational says whether every form is an int."""
+    power-basis numerators; rational says whether every form is an int.
+    Tables share value objects, so an irrational form is built once per
+    distinct object."""
     den = math.lcm(*(v.den for v in values))
     forms = []
-    rational = True
+    irrational: dict[int, tuple] = {}
     for v in values:
-        s = den // v.den
         if v.conductor == 1:
-            forms.append(v.nums[0] * s)
-        else:
-            rational = False
-            forms.append((v.conductor, tuple((j, c * s) for j, c in enumerate(v.nums) if c)))
-    return den, tuple(forms), rational
+            forms.append(v.nums[0] * (den // v.den))
+            continue
+        form = irrational.get(id(v))
+        if form is None:
+            s = den // v.den
+            terms = tuple((j, c * s) for j, c in enumerate(v.nums) if c)
+            form = irrational[id(v)] = (v.conductor, terms)
+        forms.append(form)
+    return den, tuple(forms), not irrational
 
 
 def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
@@ -500,6 +525,11 @@ def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]],
             [sum(x * s[c] for c, x in mat_rows[r].items()) % p for s in sp_rows]
             for r in sp_pivots
         ]
+        lam = restricted[0][0]
+        if all(x == lam * (r == c) for r, row in enumerate(restricted) for c, x in enumerate(row)):
+            # M is scalar on the space: it splits nothing
+            out.append(space)
+            continue
         poly = _charpoly_mod(restricted, p)
         roots = [lam for lam in range(p) if _eval_poly_mod(poly, lam, p) == 0]
         covered = 0
@@ -524,19 +554,105 @@ def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]],
 
 
 def character_table(G: Group) -> CharacterTable:
-    """Exact character table of G (cached on the group object): the product
-    of its orbit factors' tables when G is their direct product (see
-    ``_orbit_factors``), else by Dixon-Schneider; self-checked either way."""
+    """Exact character table of G (cached on the group object), by the first
+    route that applies: the product of its orbit factors' tables when G is
+    their direct product (``_orbit_factors``), powers of a root of unity
+    when a class has order |G| (``_cyclic_rows``), Murnaghan-Nakayama when
+    |G| = k! for the k points G moves (``_symmetric_rows``), else
+    Dixon-Schneider; self-checked whichever route ran."""
     if G._chartab is not None:
         return G._chartab
     cs = G.conjugacy_classes()
+    n = sum(cl.size for cl in cs.classes)  # |G|
     factors = _orbit_factors(G)
-    rows = _product_rows(G, cs, factors) if factors else _dixon_schneider_rows(G, cs)
-    rows.sort(key=lambda cf: (cf.degree().as_integer(), [v.sort_key() for v in cf.values]))
+    generator = next((c for c, cl in enumerate(cs.classes) if cl.order == n), None)
+    if factors:
+        rows = _product_rows(G, cs, factors)
+    elif generator is not None:
+        rows = _cyclic_rows(cs, generator)
+    elif n == math.factorial(k := _moved_point_count(G)):
+        rows = _symmetric_rows(cs, k)
+    else:
+        rows = _dixon_schneider_rows(G, cs)
+    rows.sort(key=_row_key)
     table = CharacterTable(G, cs, rows)
     _quick_check(table)
     G._chartab = table
     return table
+
+
+def _row_key(cf: ClassFunction):
+    """Rows sort by degree, then by their values' sort keys."""
+    return cf.degree().as_integer(), [v.sort_key() for v in cf.values]
+
+
+def _moved_point_count(G: Group) -> int:
+    return sum(any(g.img[p] != p for g in G.generators) for p in range(G.degree))
+
+
+def _cyclic_rows(cs: ConjugacyClassSet, c: int) -> list[ClassFunction]:
+    """The irreducibles of a cyclic group of order n generated by the rep x
+    of class c (of order n): chi_j(x^t) = zeta_n^(jt) for j < n, read along
+    c's power column, where class column[t] holds x^t."""
+    column = cs.power_columns[c]
+    n = len(column)
+    roots = [from_root(a, n) for a in range(n)]
+    exponent_at = [0] * n
+    for t, cls in enumerate(column):
+        exponent_at[cls] = t
+    return [ClassFunction(cs, [roots[j * t % n] for t in exponent_at]) for j in range(n)]
+
+
+def _partitions(k: int, largest: int | None = None):
+    """The partitions of k into parts at most largest, as descending tuples."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+def _symmetric_rows(cs: ConjugacyClassSet, k: int) -> list[ClassFunction]:
+    """The irreducibles chi_lambda of Sym(k points), lambda a partition of
+    k, at each class's cycle type mu on those points, by the
+    Murnaghan-Nakayama rule (James & Kerber, *The Representation Theory of
+    the Symmetric Group*, 1981, 2.4): chi_lambda(mu) is the sum over the
+    mu_1-rim hooks h of lambda of (-1)^(leg length of h) *
+    chi_(lambda - h)(mu_2, ...).  lambda is coded by its beta-set with k
+    beads, {lambda_i + k - i}, as a bitmask; removing an r-rim hook moves a
+    bead from b to an empty b - r, and its leg length is the number of beads
+    strictly between.  Values are memoized on (beta-set, remaining parts of
+    mu) within this call."""
+    memo: dict = {}
+
+    def chi(mask: int, mu: tuple[int, ...]) -> int:
+        if not mu:
+            return 1
+        key = (mask, mu)
+        value = memo.get(key)
+        if value is None:
+            r, rest = mu[0], mu[1:]
+            value = 0
+            for b in range(r, mask.bit_length()):
+                if mask >> b & 1 and not mask >> (b - r) & 1:
+                    leg = (mask >> (b - r + 1) & ((1 << (r - 1)) - 1)).bit_count()
+                    term = chi(mask ^ (1 << b) ^ (1 << (b - r)), rest)
+                    value += -term if leg & 1 else term
+            memo[key] = value
+        return value
+
+    types = []
+    for cl in cs.classes:
+        lengths = sorted(map(len, cl.rep._cycles0()), reverse=True)
+        types.append((*lengths, *(1,) * (k - sum(lengths))))
+    rows = []
+    for lam in _partitions(k):
+        mask = sum(1 << (part + k - i) for i, part in enumerate(lam, start=1))
+        mask |= (1 << (k - len(lam))) - 1  # the beads of lambda's zero parts
+        rows.append([chi(mask, mu) for mu in types])
+    shared = {x: Cyclotomic.rational(x) for x in set().union(*rows)}
+    return [ClassFunction(cs, [shared[x] for x in row]) for row in rows]
 
 
 def _restrict(x: Permutation, orbit: Sequence[int]) -> Permutation:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fszd import (
     ClassFunction,
     Cyclotomic,
+    Group,
     MismatchedTablesError,
     NotInGroupError,
     Permutation,
@@ -683,8 +684,8 @@ def test_non_residue_degree_raises_typed_error(monkeypatch):
         raise ValueError(f"{a} is not a quadratic residue mod {p}")
 
     monkeypatch.setattr(chartab, "tonelli_sqrt", no_root)
-    G = construct_group("S3")
-    with pytest.raises(TableComputationError, match=r"degree recovery failed \(Group\[S3\], eigenspace 0\)"):
+    G = construct_group("Q8")
+    with pytest.raises(TableComputationError, match=r"degree recovery failed \(Group\[Q8\], eigenspace 0\)"):
         character_table(G)
 
 
@@ -772,10 +773,11 @@ def test_table_bytes_pinned(spec):
     assert hashlib.sha256(data.encode()).hexdigest() == TABLE_DIGESTS[spec]
 
 
-@pytest.mark.parametrize("spec", ["C5", "C25"])
+@pytest.mark.parametrize("spec", ["A4", "A7"])
 def test_corrupted_lift_fails_the_self_check(monkeypatch, spec):
     # the lift is memoized on its GF(p) column, so the one corrupted value
-    # reaches every row and class that repeats that column
+    # reaches every row and class that repeats that column; both groups take
+    # Dixon-Schneider and have irrational values (zeta_3, b7)
     import fszd.chartab as chartab
 
     real = chartab.from_root_combination
@@ -805,8 +807,8 @@ def test_row_index_is_built_on_first_lookup():
 
 
 def test_corrupted_rational_value_fails_the_integer_self_check(monkeypatch):
-    # every value of S4's table is rational, so the whole self-check runs on
-    # the plain integer sums and never reaches _dot
+    # every value of Q8's table is rational, so the whole self-check runs on
+    # the plain integer sums and never reaches _dot; Q8 takes Dixon-Schneider
     import fszd.chartab as chartab
 
     def forbidden(*args, **kwargs):
@@ -825,7 +827,7 @@ def test_corrupted_rational_value_fails_the_integer_self_check(monkeypatch):
     monkeypatch.setattr(chartab, "_dot", forbidden)
     monkeypatch.setattr(chartab, "from_root_combination", corrupt_first_off_identity)
     with pytest.raises(TableComputationError, match="row orthogonality"):
-        character_table(construct_group("S4"))
+        character_table(construct_group("Q8"))
     assert corrupted and corrupted[0].is_rational()
 
 
@@ -910,14 +912,16 @@ def test_rational_column_sums_match_dot(data):
 SWEEP_SPECS = ("S8", "S7", "A7", "C2xS5", "C3xC3xC2", "C4xC4", "Q8xC3", "D4xC3", "C2xC2xC2xC2")
 
 
-def _dixon_schneider_table(monkeypatch, H):
-    """H's table with the product reduction patched off, on a fresh copy of H."""
-    import fszd.chartab as chartab
-    from fszd import Group
+def _dixon_schneider_table(H):
+    """H's table by Dixon-Schneider alone, on a fresh copy of H, sorted and
+    self-checked as ``character_table`` does."""
+    from fszd.chartab import CharacterTable, _dixon_schneider_rows, _quick_check, _row_key
 
-    with monkeypatch.context() as m:
-        m.setattr(chartab, "_orbit_factors", lambda G: None)
-        return character_table(Group(H.degree, H.generators, name=H.name))
+    G = Group(H.degree, H.generators, name=H.name)
+    cs = G.conjugacy_classes()
+    table = CharacterTable(G, cs, sorted(_dixon_schneider_rows(G, cs), key=_row_key))
+    _quick_check(table)
+    return table
 
 
 def _same_table(a, b):
@@ -925,7 +929,7 @@ def _same_table(a, b):
     assert [cf.values for cf in a.irreducibles] == [cf.values for cf in b.irreducibles]
 
 
-def test_product_tables_match_dixon_schneider(monkeypatch):
+def test_product_tables_match_dixon_schneider():
     from fszd import Session
     from fszd.chartab import _orbit_factors
 
@@ -938,7 +942,7 @@ def test_product_tables_match_dixon_schneider(monkeypatch):
             if _orbit_factors(H) is None:
                 continue
             decomposable[spec] += 1
-            _same_table(character_table(H), _dixon_schneider_table(monkeypatch, H))
+            _same_table(character_table(H), _dixon_schneider_table(H))
     # S8: 15 of its 20 distinct centralizers; every centralizer of C2xS5
     assert decomposable["S8"] == 15
     assert decomposable["C2xS5"] == 6
@@ -953,13 +957,13 @@ def test_random_direct_products_match_dixon_schneider(A, B):
 
     assume(A.order() * B.order() <= 2000)
     G = _direct_product(A, B)
-    with pytest.MonkeyPatch.context() as m:
-        _same_table(character_table(G), _dixon_schneider_table(m, G))
+    _same_table(character_table(G), _dixon_schneider_table(G))
 
 
 def test_diagonal_centralizer_takes_dixon_schneider(monkeypatch):
     # C_4 = <i> x C3 in Q8xC3: <i> has two orbits of 4 points, so the orbit
-    # groups have orders 4 * 4 * 3 != 12 and the test must not decompose it
+    # groups have orders 4 * 4 * 3 != 12 and the test must not decompose it.
+    # The group is cyclic of order 12, so the cyclic route builds its table
     import fszd.chartab as chartab
     from fszd import Session
 
@@ -1077,13 +1081,13 @@ _STRUCTURE_CONSTANT_MUTATION = """
 from fszd import TableComputationError, character_table, class_mult_coeff, construct_group
 from fszd import verify_class_algebra
 
-G = construct_group("S4")
+G = construct_group("D4")
 table = character_table(G)
 cs = G.conjugacy_classes()
-cs.classes[1].size += 1  # 3 -> 4: the double transpositions
+cs.classes[2].size += 1  # 2 -> 3: a class of reflections
 G._chartab = None
 for call in (
-    lambda: class_mult_coeff(cs, 2, 1, 1),
+    lambda: class_mult_coeff(cs, 2, 1, 2),
     lambda: verify_class_algebra(table),
     lambda: character_table(G),
 ):
@@ -1097,17 +1101,20 @@ for call in (
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_non_integral_structure_constant_raises_a_typed_error(flags):
     # every caller of the class-matrix rows divides by class sizes; a wrong
-    # size leaves a remainder, which must raise even with asserts stripped
+    # size leaves a remainder, which must raise even with asserts stripped.
+    # D4 takes Dixon-Schneider, which reads the class-matrix rows
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, *flags, "-c", _STRUCTURE_CONSTANT_MUTATION],
         capture_output=True, text=True, env=env, check=True,
     ).stdout.splitlines()
-    # transposition * (1,2)(3,4) is a transposition twice: 4 * 2 / 6
-    assert out[0] == "class algebra: a_ij^l = 8/6 is not an integer at classes i=2, j=1, l=2 (Group[S4])"
-    # row 0 of class matrix 1 is class 1 itself: 1 * 3 / 4
-    assert out[1:] == ["class algebra: a_ij^l = 3/4 is not an integer at classes i=1, j=0, l=1 (Group[S4])"] * 2
+    # a reflection times the central rotation r^2 is a reflection of the
+    # same class, twice: 1 * 2 / 3
+    assert out[0] == "class algebra: a_ij^l = 2/3 is not an integer at classes i=2, j=1, l=2 (Group[D4])"
+    # row 0 of class matrix 2 is class 2 itself: 1 * 2 / 3 (the rows of
+    # class matrix 1, of the central r^2, leave no remainder)
+    assert out[1:] == ["class algebra: a_ij^l = 2/3 is not an integer at classes i=2, j=0, l=2 (Group[D4])"] * 2
 
 
 def _certificate_gram(monkeypatch, table):
@@ -1156,3 +1163,217 @@ def test_certificate_gram_matches_exact_inner_products(monkeypatch, spec):
 def test_certificate_gram_matches_on_random_groups(G):
     with pytest.MonkeyPatch.context() as m:
         _assert_gram_matches_inner_products(m, character_table(G))
+
+
+# -- tables by formula: cyclic and symmetric groups -----------------------------
+
+
+def _sym(degree, points):
+    """Sym(points) inside S_degree, points 1-based: a transposition and a
+    cycle through all of them, in the given order."""
+    return Group(
+        degree,
+        [Permutation.from_cycles(degree, [points[:2]]), Permutation.from_cycles(degree, [points])],
+        name=f"Sym{tuple(points)} in S{degree}",
+    )
+
+
+def _route_values(rows):
+    from fszd.chartab import _row_key
+
+    return [cf.values for cf in sorted(rows, key=_row_key)]
+
+
+# S_k on 1..k, on shuffled points, and inside a larger degree with fixed points
+SYMMETRIC_GROUPS = [construct_group(f"S{k}") for k in range(3, 9)] + [
+    _sym(5, [4, 1, 5, 2, 3]),
+    _sym(6, [6, 2, 5, 1, 3, 4]),
+    _sym(10, [2, 5, 7, 9]),
+    _sym(9, [9, 3, 1, 6, 4]),
+]
+
+
+@pytest.mark.parametrize("G", SYMMETRIC_GROUPS, ids=repr)
+def test_symmetric_rows_match_dixon_schneider(G):
+    from fszd.chartab import _moved_point_count, _symmetric_rows
+
+    k = _moved_point_count(G)
+    assert G.order() == math.factorial(k)
+    want = _route_values(_dixon_schneider_table(G).irreducibles)
+    assert _route_values(_symmetric_rows(G.conjugacy_classes(), k)) == want
+
+
+def _cyclic(name, degree, *cycle_lists):
+    return Group(degree, [Permutation.from_cycles(degree, cycles) for cycles in cycle_lists], name=name)
+
+
+# C_n on an n-cycle, and cyclic groups no generator of which is an n-cycle:
+# C4 on a 4-cycle times a transposition (its orbit groups have orders 4 * 2,
+# so it is no orbit product), C6 = <x^2, x^3> for a 6-cycle x, and C12 on
+# a 4-cycle and a 3-cycle
+CYCLIC_GROUPS = [construct_group(f"C{n}") for n in range(1, 41)] + [
+    _cyclic("C4 on (1,2,3,4)(5,6)", 6, [(1, 2, 3, 4), (5, 6)]),
+    _cyclic("C6 on x^2, x^3", 6, [(1, 3, 5), (2, 4, 6)], [(1, 4), (2, 5), (3, 6)]),
+    _cyclic("C12 on (1,2,3,4)(5,6,7)", 7, [(1, 2, 3, 4), (5, 6, 7)]),
+]
+
+
+@pytest.mark.parametrize("G", CYCLIC_GROUPS, ids=repr)
+def test_cyclic_rows_match_dixon_schneider(G):
+    from fszd.chartab import _cyclic_rows
+
+    cs = G.conjugacy_classes()
+    c = next(c for c, cl in enumerate(cs.classes) if cl.order == G.order())
+    want = _route_values(_dixon_schneider_table(G).irreducibles)
+    assert _route_values(_cyclic_rows(cs, c)) == want
+
+
+def test_formula_routes_need_no_dixon_schneider(monkeypatch):
+    import fszd.chartab as chartab
+
+    def forbidden(*args):
+        raise AssertionError("Dixon-Schneider run on a cyclic or symmetric group")
+
+    monkeypatch.setattr(chartab, "_dixon_schneider_rows", forbidden)
+    groups = [construct_group("S9"), construct_group("C25"), construct_group("C30")]
+    for G in groups + SYMMETRIC_GROUPS + CYCLIC_GROUPS[:12] + CYCLIC_GROUPS[-3:]:
+        G = Group(G.degree, G.generators)
+        table = character_table(G)
+        assert sum(d * d for d in table.degrees) == G.order()
+    assert character_table(groups[0]).degrees[-1] == 216  # S9's largest degree, of (5,2,1,1)
+
+
+@pytest.mark.parametrize("spec", ["A4", "A5", "D4", "Q8", SL23_SPEC])
+def test_other_groups_take_dixon_schneider(monkeypatch, spec):
+    import fszd.chartab as chartab
+
+    calls = []
+    real = chartab._dixon_schneider_rows
+    monkeypatch.setattr(chartab, "_dixon_schneider_rows", lambda G, cs: calls.append(G) or real(G, cs))
+    G = construct_group(spec)
+    character_table(G)
+    assert calls == [G]
+
+
+_FORMULA_MUTATIONS = """
+import fszd.chartab as chartab
+from fszd import ClassFunction, TableComputationError, construct_group
+
+for spec, route in (("C25", "_cyclic_rows"), ("S6", "_symmetric_rows")):
+    real = getattr(chartab, route)
+
+    def corrupting(cs, arg):
+        rows = real(cs, arg)
+        values = list(rows[1].values)
+        values[2] = values[2] + 1
+        rows[1] = ClassFunction(cs, values)
+        return rows
+
+    setattr(chartab, route, corrupting)
+    try:
+        chartab.character_table(construct_group(spec))
+    except TableComputationError as exc:
+        print(exc)
+    setattr(chartab, route, real)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_formula_mutations_raise_typed_errors(flags):
+    # one value moved in a cyclic row and in a symmetric row: the
+    # certificate and the integer inner products must catch each, also with
+    # asserts stripped
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _FORMULA_MUTATIONS],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("row orthogonality check failed for Group[C25]: ")
+    assert out[1].startswith("row orthogonality check failed for Group[S6]: ")
+
+
+# -- Dixon-Schneider: scalar class matrices split nothing -------------------------
+
+
+def _split_counts(monkeypatch, G):
+    """(spaces of dimension > 1 given to a split, charpolys taken, their
+    matrices) while G's table is built by Dixon-Schneider."""
+    import fszd.chartab as chartab
+
+    spaces, matrices = [], []
+    split, charpoly = chartab._split_eigenspaces, chartab._charpoly_mod
+
+    def counting_split(sp, mat_rows, p):
+        spaces.extend(rows for rows, _ in sp if len(rows) > 1)
+        return split(sp, mat_rows, p)
+
+    def recording_charpoly(a, p):
+        matrices.append([row[:] for row in a])
+        return charpoly(a, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "_split_eigenspaces", counting_split)
+        m.setattr(chartab, "_charpoly_mod", recording_charpoly)
+        character_table(G)
+    return len(spaces), len(matrices), matrices
+
+
+def _is_scalar(a):
+    return all(x == a[0][0] * (r == c) for r, row in enumerate(a) for c, x in enumerate(row))
+
+
+# (spec, spaces of dimension > 1 met, charpolys taken): the other spaces met
+# a scalar class matrix and were kept whole.  SL(2,3) and Q8 meet none; at
+# A7 five of eight and at L2(31) 42 of 55 met one
+SPLIT_COUNTS = [
+    (SL23_SPEC, 3, 3),
+    ("Q8", 4, 4),
+    ("A7", 8, 3),
+    (L2_31_SPEC, 55, 13),
+]
+
+
+@pytest.mark.parametrize("spec, spaces, charpolys", SPLIT_COUNTS, ids=["SL(2,3)", "Q8", "A7", "L2(31)"])
+def test_scalar_class_matrices_reach_no_charpoly(monkeypatch, spec, spaces, charpolys):
+    got_spaces, got_charpolys, matrices = _split_counts(monkeypatch, construct_group(spec))
+    assert not any(map(_is_scalar, matrices))
+    assert (got_spaces, got_charpolys) == (spaces, charpolys)
+
+
+# -- integer forms, one per distinct value object ---------------------------------
+
+
+def _integer_forms_per_entry(values):
+    den = math.lcm(*(v.den for v in values))
+    forms = [
+        v.nums[0] * (den // v.den)
+        if v.conductor == 1
+        else (v.conductor, tuple((j, c * (den // v.den)) for j, c in enumerate(v.nums) if c))
+        for v in values
+    ]
+    return den, tuple(forms), all(v.conductor == 1 for v in values)
+
+
+def test_integer_forms_match_the_per_entry_forms():
+    from fszd.chartab import _integer_forms
+
+    for spec in CERTIFIED_SPECS:
+        for chi in character_table(get_group(spec)).irreducibles:
+            assert _integer_forms(chi.values) == _integer_forms_per_entry(chi.values)
+    rng = random.Random(31)
+    pool = [from_root(a, n) * Fraction(b, d) for a, n, b, d in
+            ((1, 5, 1, 1), (2, 12, -3, 2), (0, 1, 7, 3), (3, 7, 2, 1), (0, 1, 0, 1))]
+    for _ in range(200):
+        # shared objects and equal values built apart, rational and not
+        values = [
+            rng.choice(pool) if rng.random() < 0.7 else rng.choice(pool) + 0
+            for _ in range(rng.randint(1, 12))
+        ]
+        d, forms, rational = _integer_forms(values)
+        assert (d, forms, rational) == _integer_forms_per_entry(values)
+        for v, f in zip(values, forms):
+            if not v.is_rational():
+                # one form per distinct object
+                assert f is forms[next(i for i, w in enumerate(values) if w is v)]
