@@ -1,6 +1,10 @@
 """Small exact number-theory helpers shared across the package.
 
 Everything here works on plain Python integers; nothing is probabilistic.
+Every helper has a caller in another module of the package.  A modular
+inverse is Python's own ``pow(x, -1, m)``, and the one GF(p) that character
+tables work in, a prime p = 1 mod e with an element of order e, comes from
+``chartab._prime_and_root``.
 """
 from __future__ import annotations
 
@@ -84,11 +88,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def modinv(a: int, p: int) -> int:
-    """Inverse of a modulo a prime p."""
-    return pow(a % p, p - 2, p)
-
-
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     """Smallest primitive root modulo a prime p."""
@@ -108,35 +107,6 @@ def legendre(a: int, p: int) -> int:
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def tonelli_sqrt(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p (a must be a residue)."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
 
 
 def squarefree_part(n: int) -> int:

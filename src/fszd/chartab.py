@@ -17,13 +17,16 @@ Each route is picked by a structural test that holds exactly:
 Every route shares each distinct value object among its rows.
 
 Dixon-Schneider diagonalizes the class multiplication matrices
-simultaneously over GF(p) for the smallest prime p = 1 mod exp(G) with
-p^2 > 4|G|; central characters are read off the one-dimensional common
-eigenspaces, degrees recovered through the orthogonality relation, and
-values lifted to Q(zeta_exp(G)) by counting root-of-unity multiplicities
-along each class's power column (the classes of rep**t for t < o(rep),
-which the class set keeps).  Everything is deterministic: smallest prime,
-smallest primitive root, classes and eigenvalues in ascending order.
+simultaneously over GF(p), p the smallest prime = 1 mod exp(G) with
+p^2 > 4|G|, and w of order exp(G) mod p: the ``_prime_and_root`` that the
+certificate below also uses.  Central characters are read off the
+one-dimensional common eigenspaces.  As |G| < p^2/4, a degree is the one
+divisor d of |G| with d^2 <= |G| and d^2 = |G|/s mod p, s the
+orthogonality sum.  Values are lifted to Q(zeta_exp(G)) by counting
+root-of-unity multiplicities along each class's power column (the classes
+of rep**t for t < o(rep), which the class set keeps).  Another w gives the
+Galois conjugate rows, and Irr(G) is Galois-stable, so the sorted table
+does not depend on w.
 
 The GF(p) stages follow Schneider ("Dixon's character table algorithm
 revisited", J. Symb. Comput. 9, 1990) in building, on demand, only the
@@ -69,16 +72,7 @@ from itertools import product
 from operator import attrgetter, mul
 from typing import Sequence
 
-from ._nt import (
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    modinv,
-    prime_factors,
-    primitive_root,
-    tonelli_sqrt,
-)
+from ._nt import divisors, euler_phi, factorize, is_prime, prime_factors, primitive_root
 from .cyclotomic import (
     Cyclotomic,
     ZERO,
@@ -415,7 +409,7 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
                 row[m], row[piv] = row[piv], row[m]
-        inv = modinv(h[m][m - 1], p)
+        inv = pow(h[m][m - 1], -1, p)
         pivot_row = h[m]
         updates = []
         for i in range(m + 1, n):
@@ -464,7 +458,7 @@ def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = modinv(mat[r][col], p)
+        inv = pow(mat[r][col], -1, p)
         mat[r] = [x * inv % p for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][col]:
@@ -494,17 +488,21 @@ def _nullspace_mod(rows: list[list[int]], p: int, width: int) -> list[list[int]]
 # Dixon-Schneider
 
 
-def _prime_above(e: int, bound: int) -> int:
-    """The least prime p = 1 mod e with p > bound."""
+@lru_cache(maxsize=None)
+def _prime_and_root(e: int, bound: int) -> tuple[int, int]:
+    """(p, w): the least prime p = 1 mod e with p > bound, and the first
+    power w = a^((p-1)/e), a = 1, 2, ..., of order e mod p.  The order is
+    checked by w^(e/q) != 1 for the primes q | e, so p - 1 is not factored."""
     p = bound + 1 + (-bound) % e
     while not is_prime(p):
         p += e
-    return p
-
-
-def _choose_prime(exponent: int, order: int) -> int:
-    """The least prime p = 1 mod exp(G) with p^2 > 4|G|."""
-    return _prime_above(exponent, math.isqrt(4 * order))
+    qs = prime_factors(e)
+    a = 1
+    while True:
+        w = pow(a, (p - 1) // e, p)
+        if all(pow(w, e // q, p) != 1 for q in qs):
+            return p, w
+        a += 1
 
 
 def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]], p: int) -> list[tuple]:
@@ -756,12 +754,12 @@ def _product_rows(G: Group, cs: ConjugacyClassSet, factors) -> list[ClassFunctio
 
 
 def _dixon_schneider_rows(G: Group, cs: ConjugacyClassSet) -> list[ClassFunction]:
-    """The irreducible characters of G, unsorted, by Dixon-Schneider."""
+    """The irreducible characters of G, unsorted, by Dixon-Schneider in the
+    GF(p) of ``_prime_and_root``, with degrees read off the divisors of |G|."""
     n = G.order()
     k = len(cs)
     e = cs.exponent
-    p = _choose_prime(e, n)
-    w = pow(primitive_root(p), (p - 1) // e, p)
+    p, w = _prime_and_root(e, math.isqrt(4 * n))
 
     # split GF(p)^k into common eigenspaces of the class matrices
     identity_rows = [[int(i == j) for j in range(k)] for i in range(k)]
@@ -778,14 +776,14 @@ def _dixon_schneider_rows(G: Group, cs: ConjugacyClassSet) -> list[ClassFunction
 
     inv_map = cs.inverse_map()
     sizes = [cl.size for cl in cs.classes]
-    inv_sizes = [modinv(size, p) for size in sizes]
+    inv_sizes = [pow(size, -1, p) for size in sizes]
     # multiplicity lift, taken once per table: for each element order o the
     # matrix of zeta_o^(-i*t) / o mod p, applied to the values along each
     # class's power column (class of rep**t, t < order)
     lift = {}
     for o in {cl.order for cl in cs.classes}:
         zeta = pow(w, e // o, p)
-        inv_o = modinv(o, p)
+        inv_o = pow(o, -1, p)
         zpow = [pow(zeta, a, p) * inv_o % p for a in range(o)]
         lift[o] = [[zpow[-i * t % o] for t in range(o)] for i in range(o)]
 
@@ -800,19 +798,16 @@ def _dixon_schneider_rows(G: Group, cs: ConjugacyClassSet) -> list[ClassFunction
         vec = basis[0]
         if vec[0] == 0:
             raise TableComputationError(f"degenerate central character ({where})")
-        norm = modinv(vec[0], p)
+        norm = pow(vec[0], -1, p)
         omega = [x * norm % p for x in vec]
         s = sum(omega[j] * omega[inv_map[j]] * inv_sizes[j] for j in range(k)) % p
-        d2 = n * modinv(s, p) % p
-        try:
-            root = tonelli_sqrt(d2, p)
-        except ValueError:
+        # deg^2 = |G|/s; s = 0 leaves d2 = 0, which no divisor fits
+        d2 = n * pow(s, -1, p) % p if s else 0
+        deg = next((d for d in divisors(n) if d * d <= n and d * d % p == d2), None)
+        if deg is None:
             raise TableComputationError(
-                f"degree recovery failed ({where}): {d2} is not a square mod {p}"
-            ) from None
-        deg = min(root, p - root)
-        if deg == 0 or deg * deg > n:
-            raise TableComputationError(f"degree recovery failed ({where}): degree {deg}")
+                f"degree recovery failed ({where}): no divisor of {n} squares to {d2} mod {p}"
+            )
         chihat = [deg * omega[j] * inv_sizes[j] % p for j in range(k)]
         values = []
         for j, column in enumerate(cs.power_columns):
@@ -884,21 +879,6 @@ def _unit_generators(e: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def _certificate_prime(e: int, bound: int) -> tuple[int, int]:
-    """(p, w): the least prime p = 1 mod e with p > bound, and the first
-    power w = a^((p-1)/e), a = 1, 2, ..., of order e mod p.  The order is
-    checked by w^(e/q) != 1 for the primes q | e, so p - 1 is not factored."""
-    p = _prime_above(e, bound)
-    qs = prime_factors(e)
-    a = 1
-    while True:
-        w = pow(a, (p - 1) // e, p)
-        if all(pow(w, e // q, p) != 1 for q in qs):
-            return p, w
-        a += 1
-
-
 def _gram_rows(vals: list[list[int]], sizes: list[int], p: int):
     """Row i of the upper triangle of the Gram matrix mod p: the sums over
     classes c of |C_c| * vals[i][c] * vals[l][c], for l = i, ..., k - 1."""
@@ -923,7 +903,7 @@ def _row_certificate(table: CharacterTable) -> None:
        since a value's numerators bound its absolute value;
     4. p is the least prime = 1 mod e above B and w has order e mod p, so
        iota: zeta_n -> w^(e/n) is a ring map Z[zeta_e] -> GF(p), whose
-       kernel P is a prime above p (``_certificate_prime``);
+       kernel P is a prime above p (``_prime_and_root``);
     5. iota(alpha_il) = 0 mod p for all i <= l (``_gram_rows``); the Gram
        matrix is symmetric and conj an involution, so that is every pair.
 
@@ -981,7 +961,7 @@ def _row_certificate(table: CharacterTable) -> None:
     )
 
     # step 4
-    p, w = _certificate_prime(e, bound)
+    p, w = _prime_and_root(e, bound)
     iota = []
     for v in reps:
         wm = pow(w, e // v.conductor, p)

@@ -578,11 +578,11 @@ def test_unit_generators_generate_the_unit_group():
 
 def test_certificate_prime_is_the_least_above_the_bound():
     from fszd._nt import is_prime, prime_factors
-    from fszd.chartab import _certificate_prime
+    from fszd.chartab import _prime_and_root
 
     for e in (1, 2, 3, 4, 5, 12, 25, 60, 125, 840):
         for bound in (1, e, 97, 2125, 10**6):
-            p, w = _certificate_prime(e, bound)
+            p, w = _prime_and_root(e, bound)
             assert p > bound and p % e == 1 % e and is_prime(p)
             assert not any(is_prime(q) for q in range(bound + 1, p) if q % e == 1 % e)
             assert pow(w, e, p) == 1
@@ -602,7 +602,7 @@ def test_certificate_prime_must_exceed_the_bound(monkeypatch):
         values[1] = values[1] + q
 
     bad = _corrupted("Q8xC3", character_table(get_group("Q8xC3")).trivial_index(), move)
-    real = chartab._certificate_prime
+    real = chartab._prime_and_root
     bounds = []
 
     def below_the_bound(e, bound):
@@ -610,7 +610,7 @@ def test_certificate_prime_must_exceed_the_bound(monkeypatch):
         return real(e, q - 1)
 
     with monkeypatch.context() as m:
-        m.setattr(chartab, "_certificate_prime", below_the_bound)
+        m.setattr(chartab, "_prime_and_root", below_the_bound)
         chartab._quick_check(bad)
     assert real(12, q - 1)[0] == q < bounds[0]
     with pytest.raises(TableComputationError, match=r"failed for Group\[Q8xC3\]: Gram entry"):
@@ -677,16 +677,83 @@ def test_certificate_failures_raise_typed_errors(flags):
     assert "Q8xC3]: Gram entry " in out[4]
 
 
-def test_non_residue_degree_raises_typed_error(monkeypatch):
+@pytest.mark.parametrize("spec", ["A5", "A7", SL23_SPEC], ids=["A5", "A7", "SL23"])
+def test_dixon_schneider_rows_do_not_depend_on_the_root(monkeypatch, spec):
+    # w^u for a unit u mod e has order e too, and gives the Galois conjugate
+    # sigma_u(chi) of every row; Irr(G) is Galois-stable, so the sorted rows
+    # are the same for every u
     import fszd.chartab as chartab
+    from fszd.chartab import _dixon_schneider_rows, _row_key
 
-    def no_root(a, p):
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
+    G = construct_group(spec)
+    cs = G.conjugacy_classes()
+    e = cs.exponent
 
-    monkeypatch.setattr(chartab, "tonelli_sqrt", no_root)
-    G = construct_group("Q8")
-    with pytest.raises(TableComputationError, match=r"degree recovery failed \(Group\[Q8\], eigenspace 0\)"):
-        character_table(G)
+    def rows():
+        return [chi.values for chi in sorted(_dixon_schneider_rows(G, cs), key=_row_key)]
+
+    want = rows()
+    real = chartab._prime_and_root
+    for u in (u for u in range(1, e) if math.gcd(u, e) == 1):
+
+        def root_power(e, bound, u=u):
+            p, w = real(e, bound)
+            return p, pow(w, u, p)
+
+        monkeypatch.setattr(chartab, "_prime_and_root", root_power)
+        assert rows() == want, u
+
+
+_DEGREE_FAILURES = """
+import fszd.chartab as chartab
+from fszd import TableComputationError, construct_group
+
+real_split = chartab._split_eigenspaces
+# the class of -1 in Q8: size 1, order 2, its own inverse
+minus_one = next(
+    c for c, cl in enumerate(construct_group("Q8").conjugacy_classes().classes)
+    if cl.size == 1 and cl.order == 2
+)
+
+
+def zero_norm_sum(spaces, mat_rows, p):
+    # once every space is a line, eigenspace 0 gets omega = (1, a, 0, ...)
+    # with a at -1 and a^2 = -1 mod p, so its norm sum s = 1 + a^2 is 0
+    spaces = real_split(spaces, mat_rows, p)
+    if all(len(rows) == 1 for rows, _ in spaces):
+        vec = [0] * len(spaces)
+        vec[0] = 1
+        vec[minus_one] = next(a for a in range(p) if (a * a + 1) % p == 0)
+        spaces[0] = ([vec], [0])
+    return spaces
+
+
+for name, patch in (("divisors", lambda n: ()), ("_split_eigenspaces", zero_norm_sum)):
+    real = getattr(chartab, name)
+    setattr(chartab, name, patch)
+    try:
+        chartab.character_table(construct_group("Q8"))
+    except TableComputationError as exc:
+        print(exc)
+    setattr(chartab, name, real)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_degree_recovery_failures_raise_typed_errors(flags):
+    # a degree is the one divisor d of |G| with d^2 <= |G| and d^2 = |G|/s
+    # mod p: a scan that meets no divisor, and a norm sum s = 0, which makes
+    # the target 0 that no divisor below p squares to, both raise the
+    # typed error, also under -O
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _DEGREE_FAILURES],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 2
+    assert all(line.startswith("degree recovery failed (Group[Q8], eigenspace 0)") for line in out)
+    assert out[1].endswith("no divisor of 8 squares to 0 mod 13")
 
 
 def _berkowitz_charpoly_mod(a, p):
@@ -960,7 +1027,7 @@ def test_random_direct_products_match_dixon_schneider(A, B):
     _same_table(character_table(G), _dixon_schneider_table(G))
 
 
-def test_diagonal_centralizer_takes_dixon_schneider(monkeypatch):
+def test_diagonal_centralizer_takes_no_product_route(monkeypatch):
     # C_4 = <i> x C3 in Q8xC3: <i> has two orbits of 4 points, so the orbit
     # groups have orders 4 * 4 * 3 != 12 and the test must not decompose it.
     # The group is cyclic of order 12, so the cyclic route builds its table

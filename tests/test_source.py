@@ -31,3 +31,22 @@ def test_indicators_imports_no_private_chartab_name():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_every_nt_helper_has_a_caller_elsewhere():
+    # a helper in _nt that no other module calls is dead code
+    package = Path(fszd.__file__).parent
+    helpers = {
+        node.name
+        for node in ast.parse((package / "_nt.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    called = {
+        node.func.id
+        for path in package.glob("*.py")
+        if path.name != "_nt.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert len(helpers) >= 5
+    assert sorted(helpers - called) == []
