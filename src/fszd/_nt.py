@@ -88,19 +88,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def primitive_root(p: int) -> int:
-    """Smallest primitive root modulo a prime p."""
-    if p == 2:
-        return 1
-    qs = prime_factors(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-        g += 1
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p, in {-1, 0, 1}."""
     a %= p

@@ -35,8 +35,10 @@ Row j of class matrix i, the a_ij^l of C_i * C_j = sum of a_ij^l * C_l, is
 one pass over C_i by triple counting (``_class_matrix_row``).  A class
 matrix that acts on a space as a scalar splits nothing, and the space is
 kept as it is; else the characteristic polynomial of the restriction is
-taken in O(d^3) through Hessenberg form (``_charpoly_mod``).  The
-multiplicity lift of a value is a function of its GF(p) column alone, so
+taken in O(d^3) through Hessenberg form (``_charpoly_mod``).  A space is a
+basis that is the identity at its pivot columns, and one elimination per
+eigenvalue gives each eigenspace as such a basis (``_split_eigenspaces``).
+The multiplicity lift of a value is a function of its GF(p) column alone, so
 each distinct column is lifted and checked once per table; a Galois
 conjugate of a character repeats that character's columns at other classes.
 
@@ -72,7 +74,7 @@ from itertools import product
 from operator import attrgetter, mul
 from typing import Sequence
 
-from ._nt import divisors, euler_phi, factorize, is_prime, prime_factors, primitive_root
+from ._nt import divisors, euler_phi, factorize, is_prime, prime_factors
 from .cyclotomic import (
     Cyclotomic,
     ZERO,
@@ -448,11 +450,13 @@ def _eval_poly_mod(poly: list[int], x: int, p: int) -> int:
     return acc
 
 
-def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    mat = [row[:] for row in rows]
+def _nullspace_mod(mat: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
+    """The null space {v : mat * v = 0} over GF(p), as one pair (c, v) per
+    free column c of mat's reduced row echelon form, with v[c] = 1 and v 0
+    at the other free columns.  mat is brought to that form in place."""
+    width = len(mat[0]) if mat else 0
     pivots: list[int] = []
     r = 0
-    width = len(mat[0]) if mat else 0
     for col in range(width):
         piv = next((i for i in range(r, len(mat)) if mat[i][col] % p), None)
         if piv is None:
@@ -461,27 +465,20 @@ def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
         inv = pow(mat[r][col], -1, p)
         mat[r] = [x * inv % p for x in mat[r]]
         for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
+            if i != r and (f := mat[i][col]):
                 mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
-
-
-def _nullspace_mod(rows: list[list[int]], p: int, width: int) -> list[list[int]]:
-    rref, pivots = _rref_mod(rows, p) if rows else ([], [])
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
+    out = []
+    for c in sorted(set(range(width)) - set(pivots)):
         vec = [0] * width
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rref[r][fc]) % p
-        basis.append(vec)
-    return basis
+        vec[c] = 1
+        for row, pc in zip(mat, pivots):
+            vec[pc] = -row[c] % p
+        out.append((c, vec))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -491,24 +488,30 @@ def _nullspace_mod(rows: list[list[int]], p: int, width: int) -> list[list[int]]
 @lru_cache(maxsize=None)
 def _prime_and_root(e: int, bound: int) -> tuple[int, int]:
     """(p, w): the least prime p = 1 mod e with p > bound, and the first
-    power w = a^((p-1)/e), a = 1, 2, ..., of order e mod p.  The order is
-    checked by w^(e/q) != 1 for the primes q | e, so p - 1 is not factored."""
+    power w = a^((p-1)/e), a = 1, 2, ..., of order e mod p (``_has_order``),
+    so p - 1 is not factored."""
     p = bound + 1 + (-bound) % e
     while not is_prime(p):
         p += e
-    qs = prime_factors(e)
     a = 1
-    while True:
-        w = pow(a, (p - 1) // e, p)
-        if all(pow(w, e // q, p) != 1 for q in qs):
-            return p, w
+    while not _has_order(w := pow(a, (p - 1) // e, p), e, p):
         a += 1
+    return p, w
+
+
+def _has_order(x: int, n: int, m: int) -> bool:
+    """Whether x has multiplicative order n mod m: x^n = 1 and x^(n/q) != 1
+    for each prime q | n."""
+    return pow(x, n, m) == 1 and all(pow(x, n // q, m) != 1 for q in prime_factors(n))
 
 
 def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]], p: int) -> list[tuple]:
-    """Split each space, a pair (rows, pivots) of its RREF basis and their
-    pivot columns, into the eigenspaces of a class matrix M, given by its
-    rows at the pivots of the spaces of dimension above 1."""
+    """Split each space, a pair (rows, pivots) of a basis and columns with
+    rows[r][pivots[s]] = [r == s], into the eigenspaces of a class matrix M,
+    given by its rows at the pivots of the spaces of dimension above 1.  A
+    null vector of restricted - lam*I is 1 at its free column c and 0 at the
+    other free columns (``_nullspace_mod``), so the eigenspace's basis, read
+    back in GF(p)^k, is of the same kind with pivots sp_pivots[c]."""
     out = []
     for space in spaces:
         sp_rows, sp_pivots = space
@@ -516,9 +519,9 @@ def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]],
         if d == 1:
             out.append(space)
             continue
-        # matrix of the action restricted to the subspace, in RREF coordinates
-        # (the space is M-invariant and its rows are in RREF, so the pivot
-        # coordinates of M*s determine it)
+        # matrix of the action restricted to the subspace, in the basis's
+        # coordinates (the space is M-invariant, so the pivot entries of M*s
+        # determine M*s)
         restricted = [
             [sum(x * s[c] for c, x in mat_rows[r].items()) % p for s in sp_rows]
             for r in sp_pivots
@@ -532,18 +535,15 @@ def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]],
         roots = [lam for lam in range(p) if _eval_poly_mod(poly, lam, p) == 0]
         covered = 0
         for lam in roots:
-            shifted = [
-                [(restricted[r][c] - (lam if r == c else 0)) % p for c in range(d)]
-                for r in range(d)
-            ]
-            amb_rows = []
-            for vec in _nullspace_mod(shifted, p, d):
+            shifted = [[(x - lam * (r == c)) % p for c, x in enumerate(row)] for r, row in enumerate(restricted)]
+            rows, pivots = [], []
+            for c, vec in _nullspace_mod(shifted, p):
                 acc = [0] * len(sp_rows[0])
                 for coef, srow in zip(vec, sp_rows):
                     if coef:
                         acc = [a + coef * x for a, x in zip(acc, srow)]
-                amb_rows.append([a % p for a in acc])
-            rows, pivots = _rref_mod(amb_rows, p)
+                rows.append([a % p for a in acc])
+                pivots.append(sp_pivots[c])
             out.append((rows, pivots))
             covered += len(rows)
         if covered != d:
@@ -860,8 +860,9 @@ def _quick_check(table: CharacterTable) -> None:
 @lru_cache(maxsize=None)
 def _unit_generators(e: int) -> tuple[int, ...]:
     """Generators of (Z/e)^x in [2, e): for each prime power q^a || e the
-    generators of (Z/q^a)^x (a primitive root mod q^a for odd q; -1 and 5
-    for q = 2), each lifted by CRT to 1 mod e/q^a."""
+    generators of (Z/q^a)^x (for odd q the least g of order phi(q^a) mod
+    q^a, by ``_has_order``; -1 and 5 for q = 2), each lifted by CRT to 1 mod
+    e/q^a."""
     gens = []
     for q, a in factorize(e):
         qa = q**a
@@ -869,9 +870,7 @@ def _unit_generators(e: int) -> tuple[int, ...]:
         if q == 2:
             local = (-1, 5)[: min(a - 1, 2)]
         else:
-            g = primitive_root(q)
-            # g generates mod every q^a unless g^(q-1) = 1 mod q^2
-            local = (g + q if a > 1 and pow(g, q - 1, q * q) == 1 else g,)
+            local = (next(g for g in range(2, qa) if _has_order(g, euler_phi(qa), qa)),)
         for g in local:
             r = (1 + rest * ((g - 1) * pow(rest, -1, qa) % qa)) % e
             if r != 1:
@@ -962,13 +961,7 @@ def _row_certificate(table: CharacterTable) -> None:
 
     # step 4
     p, w = _prime_and_root(e, bound)
-    iota = []
-    for v in reps:
-        wm = pow(w, e // v.conductor, p)
-        acc = 0
-        for c in reversed(v.nums):
-            acc = (acc * wm + c) % p
-        iota.append(acc)
+    iota = [_eval_poly_mod(v.nums[::-1], pow(w, e // v.conductor, p), p) for v in reps]
 
     # step 5
     vals = [list(map(iota.__getitem__, row)) for row in coded]

@@ -227,16 +227,17 @@ class BenchResult:
 def benchmark(G: Group, ms: Sequence[int] | None = None) -> BenchResult:
     """Time a full indicator sweep: class-level formulas vs naive enumeration.
 
-    The naive path receives the element list and the centralizer tables for
-    free (they describe its inputs); the class-level path is timed on a
-    fresh copy of the group, so it pays for every conjugacy class, subgroup
-    and character table it needs.
+    The naive path obeys the oracle's order limit, checked before any other
+    work, and receives the element list and the centralizer tables for free
+    (they describe its inputs); the class-level path is timed on a fresh
+    copy of the group, so it pays for every conjugacy class, subgroup and
+    character table it needs.
     """
     from .indicators import Session, all_indicators, checked_ms
 
+    _guard(G, None)
     prep = Session(G)
     m_list = checked_ms(prep, ms)
-    G.elements()
     triples = []
     for g_class in range(len(prep.classes)):
         table = prep.centralizer_table(g_class)
@@ -247,7 +248,7 @@ def benchmark(G: Group, ms: Sequence[int] | None = None) -> BenchResult:
     start = time.perf_counter()
     for g, eta in triples:
         for m in m_list:
-            nu_naive(G, g, eta, m, max_order=G.order())
+            nu_naive(G, g, eta, m)
     naive_seconds = time.perf_counter() - start
 
     cold = Group(G.degree, G.generators, name=G.name)

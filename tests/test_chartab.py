@@ -576,7 +576,7 @@ def test_unit_generators_generate_the_unit_group():
         assert reached == units, e
 
 
-def test_certificate_prime_is_the_least_above_the_bound():
+def test_prime_and_root_is_the_least_prime_above_the_bound():
     from fszd._nt import is_prime, prime_factors
     from fszd.chartab import _prime_and_root
 
@@ -589,7 +589,7 @@ def test_certificate_prime_is_the_least_above_the_bound():
             assert all(pow(w, e // q, p) != 1 for q in prime_factors(e))
 
 
-def test_certificate_prime_must_exceed_the_bound(monkeypatch):
+def test_prime_and_root_must_exceed_the_certificate_bound(monkeypatch):
     import fszd.chartab as chartab
 
     # 13 = 1 mod exp(Q8xC3) = 12.  The trivial row is fixed by every sigma_r,
@@ -812,6 +812,57 @@ def test_charpoly_matches_berkowitz_reference():
                 assert a == before, (kind, n, p)
                 want = _berkowitz_charpoly_mod([[x % p for x in row] for row in a], p)
                 assert got == want, (kind, n, p, a)
+
+
+@st.composite
+def gfp_matrices(draw):
+    """(p, a matrix over GF(p)) of at most 4 columns: any, zero, invertible,
+    or square with its last column a combination of the others."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    kind = draw(st.sampled_from(("any", "zero", "invertible", "deficient")))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5)) if kind in ("any", "zero") else n
+    entry = st.integers(0, p - 1)
+    if kind == "zero":
+        return p, [[0] * n for _ in range(m)]
+    if kind == "invertible":
+        # L * U with unit diagonals, its rows permuted
+        low = [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+        up = [[draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+        rows = draw(st.permutations(range(n)))
+        return p, [[sum(low[i][t] * up[t][j] for t in range(n)) % p for j in range(n)] for i in rows]
+    mat = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if kind == "deficient":
+        coefs = [draw(entry) for _ in range(n - 1)]
+        for row in mat:
+            row[-1] = sum(c * x for c, x in zip(coefs, row)) % p
+    return p, mat
+
+
+@given(gfp_matrices())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_nullspace_matches_brute_force(case):
+    from itertools import product as tuples
+
+    from fszd.chartab import _nullspace_mod
+
+    p, mat = case
+    n = len(mat[0])
+    null = [
+        v for v in tuples(range(p), repeat=n)
+        if all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in mat)
+    ]
+    # |null space| = p^(n - rank)
+    dim = round(math.log(len(null), p))
+    assert p**dim == len(null)
+    got = _nullspace_mod([row[:] for row in mat], p)
+    assert len(got) == dim
+    free = [c for c, _ in got]
+    assert free == sorted(set(free))
+    for c, v in got:
+        assert v[c] == 1 and all(v[f] == 0 for f in free if f != c)
+        # the one null vector with those entries at the free columns
+        assert [u for u in null if all(u[f] == (f == c) for f in free)] == [tuple(v)]
 
 
 # L2(31) = PSL(2, 31) on the projective line GF(31) u {inf}, x as point
@@ -1179,9 +1230,13 @@ def test_non_integral_structure_constant_raises_a_typed_error(flags):
     # a reflection times the central rotation r^2 is a reflection of the
     # same class, twice: 1 * 2 / 3
     assert out[0] == "class algebra: a_ij^l = 2/3 is not an integer at classes i=2, j=1, l=2 (Group[D4])"
-    # row 0 of class matrix 2 is class 2 itself: 1 * 2 / 3 (the rows of
-    # class matrix 1, of the central r^2, leave no remainder)
-    assert out[1:] == ["class algebra: a_ij^l = 2/3 is not an integer at classes i=2, j=0, l=2 (Group[D4])"] * 2
+    # row 0 of class matrix 2 is class 2 itself: 1 * 2 / 3, and it is the
+    # first row verify_class_algebra reads (the rows of class matrix 1, of
+    # the central r^2, leave no remainder)
+    assert out[1] == "class algebra: a_ij^l = 2/3 is not an integer at classes i=2, j=0, l=2 (Group[D4])"
+    # Dixon-Schneider reads class matrix 2 only at the pivots of the spaces
+    # class matrix 1 left unsplit, and row 1 comes first there
+    assert out[2] == out[0]
 
 
 def _certificate_gram(monkeypatch, table):
@@ -1407,6 +1462,31 @@ def test_scalar_class_matrices_reach_no_charpoly(monkeypatch, spec, spaces, char
     got_spaces, got_charpolys, matrices = _split_counts(monkeypatch, construct_group(spec))
     assert not any(map(_is_scalar, matrices))
     assert (got_spaces, got_charpolys) == (spaces, charpolys)
+
+
+@pytest.mark.parametrize("spec", [SL23_SPEC, "A7", L2_31_SPEC], ids=["SL(2,3)", "A7", "L2(31)"])
+def test_eigenspace_bases_are_the_identity_at_their_pivots(monkeypatch, spec):
+    # a split reads a vector's coordinates off its pivot entries, so every
+    # space it returns must have rows[r][pivots[s]] = [r == s]; their
+    # dimensions always sum to k, and the last split leaves k lines
+    import fszd.chartab as chartab
+
+    G = construct_group(spec)
+    k = len(G.conjugacy_classes())
+    split, splits = chartab._split_eigenspaces, []
+
+    def checked_split(spaces, mat_rows, p):
+        out = split(spaces, mat_rows, p)
+        for rows, pivots in out:
+            assert len(pivots) == len(rows)
+            assert all(row[c] == (r == s) for r, row in enumerate(rows) for s, c in enumerate(pivots))
+        assert sum(len(rows) for rows, _ in out) == k
+        splits.append(len(out))
+        return out
+
+    monkeypatch.setattr(chartab, "_split_eigenspaces", checked_split)
+    character_table(G)
+    assert splits and splits[-1] == k
 
 
 # -- integer forms, one per distinct value object ---------------------------------

@@ -162,6 +162,20 @@ def test_bench_rejects_bad_m_before_timing(capsys, monkeypatch):
     assert "m=5 does not divide" in err and not out
 
 
+def test_bench_obeys_the_oracle_order_limit(capsys, monkeypatch):
+    # S8 (order 40320) is above the oracle's default limit of 5040: bench
+    # must stop before any session, table or naive sweep
+    def fail(*args, **kwargs):
+        raise AssertionError("bench worked past the oracle limit")
+
+    monkeypatch.delenv("FSZD_MAX_ORDER", raising=False)
+    monkeypatch.setattr("fszd.indicators.Session", fail)
+    monkeypatch.setattr("fszd.oracle.nu_naive", fail)
+    code, out, err = run(capsys, "bench", "--group", "S8")
+    assert code == 2 and not out
+    assert err == "error: oracle limited to order 5040, group has 40320\n"
+
+
 def test_byte_identical_reruns(capsys):
     outputs = []
     for _ in range(2):
