@@ -24,7 +24,8 @@ each is one plain int sum, else a coefficient-wise sum of reduced forms
 (``class_sum``) or chartab's integer kernel (``column_sums``).
 
 The FSZ rationality test works from the beta coefficients alone and skips
-parameter combinations that are forced rational.
+parameter combinations that are forced rational, centralizers whose
+characters all lie in the field asked for, and table rows that do.
 """
 from __future__ import annotations
 
@@ -382,10 +383,34 @@ class FszResult:
 def fsz_test(G: Group | Session, d: int = 1) -> FszResult:
     """Decide whether all indicators of D(G) lie in Q(zeta_d), via beta.
 
-    For d = 1 this is the FSZ property.  Skip rules: a class z and divisor m
-    are only examined when gcd(m, o(z)) forces a field larger than Q, which
-    per the reduction lemmas requires gcd(m, o(z)) outside {1, 2, 3, 4, 6};
-    m runs over the divisors of exp(C_G(z))/o(z).
+    For d = 1 this is the FSZ property.  One class z per rational class of G
+    is examined, and m runs over the divisors of exp(C)/o(z), C = C_G(z);
+    ``betas_checked`` counts the beta values actually computed.  The first
+    beta outside Q(zeta_d), or not real, is the witness.  Three exact skip
+    rules leave out betas that cannot be a witness, in this order:
+
+    * for d = 1, a class z and divisor m are only examined when
+      gcd(m, o(z)) forces a field larger than Q, which per the reduction
+      lemmas requires gcd(m, o(z)) outside {1, 2, 3, 4, 6};
+    * no character table is built for z when every character of C takes
+      its values in Q(zeta_d) (``_all_characters_in``);
+    * in a table that is built, beta is computed only for the rows with a
+      value outside Q(zeta_d) (``_rows_leaving``).
+
+    The last two rest on beta_chi lying in Q(chi), the field of values of
+    chi, and being real.  beta_chi = |phi_chi|^2 / (|C| chi(1)) is real, and
+    it is the coefficient of chi in gamma_m^z, an integer-valued class
+    function on C, so it equals <gamma_m^z, chi>, a rational combination of
+    the values of chi.  So a chi with values in Q(zeta_d) has its beta in
+    Q(zeta_d), real, and never a witness.  Whether all characters of C do
+    is read off C's classes: by Brauer's permutation lemma (Isaacs,
+    Character Theory of Finite Groups, Thm 6.32) a Galois automorphism
+    sigma_r fixes every irreducible character exactly when it fixes every
+    class, i.e. rep(c)**r lies in c for each class c.  So every
+    character lies in Q(zeta_d) exactly when each class is alone in its
+    Galois cell over Q(zeta_d) (``rational_classes(C, d)``).  A skipped
+    beta can never fail, so the verdict and witness are those of the test
+    without the skips.
     """
     if d < 1:
         raise BadDivisorError("d must be a positive integer")
@@ -404,16 +429,30 @@ def fsz_test(G: Group | Session, d: int = 1) -> FszResult:
                 for m in ms
                 if m not in _SMALL and math.gcd(m, oz) not in _SMALL
             ]
-        if not ms:
+        if not ms or _all_characters_in(session.centralizer_group(z_class), d):
             continue
         table = session.centralizer_table(z_class)
+        rows = _rows_leaving(table, d)
         for m in ms:
-            for chi_index in range(len(table.irreducibles)):
+            for chi_index in rows:
                 value = beta(session, z_class, m, chi_index)
                 checked += 1
                 if not (value.in_field(d) and value.is_real()):
                     return FszResult(False, (z_class, m, chi_index), checked, d)
     return FszResult(True, None, checked, d)
+
+
+def _all_characters_in(C: Group, d: int) -> bool:
+    """Whether every irreducible character of C has its values in
+    Q(zeta_d), read off C's classes with no table (see ``fsz_test``)."""
+    return all(len(cell) == 1 for cell in rational_classes(C, d))
+
+
+def _rows_leaving(table: CharacterTable, d: int) -> list[int]:
+    """Indices of the rows of table with a value outside Q(zeta_d)."""
+    return [
+        i for i, cf in enumerate(table.irreducibles) if not all(v.in_field(d) for v in cf.values)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,9 @@ def oracle_equivalence_sweep(
     """
     from .indicators import Session, all_indicators, checked_ms, double_character
 
+    elements = _guard(G, max_order)
     session = Session(G)
     m_list = checked_ms(session, ms)
-    elements = _guard(G, max_order)
     report = all_indicators(session, m_list)
     pair_table = commuting_pair_table(G, max_order)
     counts_by_m = {

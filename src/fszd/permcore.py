@@ -694,13 +694,19 @@ def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation
     return _unpack(G._compose(t_a_inv, t_b + G._pad))  # T(b) * T(a)^-1
 
 
-def rational_classes(G: Group) -> tuple[tuple[int, ...], ...]:
-    """Partition of class indices into rational classes (Galois fusion).
+def rational_classes(G: Group, d: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Partition of class indices into Galois cells over Q(zeta_d); for
+    d = 1, the rational classes.
 
-    The cell of class c is {class of rep(c)**r : gcd(r, o(c)) = 1}, read off
-    c's power column; it is closed under the same map, as its members are
-    conjugate to such powers.
+    The cell of class c is {class of rep(c)**r : r a unit mod o(c) with
+    r = 1 mod gcd(d, o(c))}, read off c's power column.  These r are the
+    residues mod o(c) of the units R mod lcm(exp(G), d) with R = 1 mod d,
+    the Galois automorphisms fixing Q(zeta_d), so the cell is c's orbit
+    under them; as the r form a group, the cell is closed under the same
+    map, its members being conjugate to such powers.
     """
+    if d < 1:
+        raise BadDivisorError("d must be a positive integer")
     cs = G.conjugacy_classes()
     assigned = [False] * len(cs)
     cells = []
@@ -708,7 +714,8 @@ def rational_classes(G: Group) -> tuple[tuple[int, ...], ...]:
         if assigned[i]:
             continue
         o = len(col)
-        cell = sorted({col[r] for r in range(o) if math.gcd(r, o) == 1})
+        step = math.gcd(d, o)
+        cell = sorted({col[r % o] for r in range(1, o + 1, step) if math.gcd(r, o) == 1})
         for c in cell:
             assigned[c] = True
         cells.append(tuple(cell))

@@ -14,6 +14,7 @@ import pytest
 from fszd import (
     BadDivisorError,
     Cyclotomic,
+    FszResult,
     IndicatorReport,
     InvariantError,
     NonCommutingPairError,
@@ -23,6 +24,7 @@ from fszd import (
     all_indicators,
     beta,
     centralizer,
+    character_table,
     conjugator,
     construct_group,
     double_character,
@@ -40,6 +42,7 @@ from fszd import (
     sqrt_cyclotomic,
     w_class_function,
 )
+from fszd._nt import divisors
 from fszd.indicators import IndicatorEntry, SimpleIndicators
 
 import fszd.chartab
@@ -748,13 +751,14 @@ def test_fsz_verdicts():
 
 
 def test_fsz_computes_betas_when_needed():
+    # C25's trivial row is rational, so its beta is never computed
     result = fsz_test(construct_group("C25"))
-    assert result.verdict and result.betas_checked == 25
+    assert result.verdict and result.betas_checked == 24
 
 
 def test_fsz_false_names_the_first_irrational_beta(sqrt5_beta_at_chi_3):
     result = fsz_test(construct_group("C25"))
-    assert (result.verdict, result.witness, result.betas_checked) == (False, (1, 5, 3), 4)
+    assert (result.verdict, result.witness, result.betas_checked) == (False, (1, 5, 3), 3)
     # sqrt(5) lies in Q(zeta_5), so FSZ_5 still holds
     assert fsz_test(construct_group("C25"), d=5).verdict
 
@@ -814,17 +818,78 @@ FSZ_DECIDE_CASES = (
 )
 
 
+def _no_field_skips(monkeypatch):
+    """Switch off fsz_test's skips by field of values: every centralizer
+    gets a table, and every row of it a beta."""
+    monkeypatch.setattr(fszd.indicators, "_all_characters_in", lambda C, d: False)
+    monkeypatch.setattr(fszd.indicators, "_rows_leaving", lambda table, d: range(len(table.irreducibles)))
+
+
 def test_fsz_skip_rules_change_no_verdict(monkeypatch):
-    # with no gcd value treated as forcing rationality, fsz_test checks every
-    # beta the skip rules leave out; the verdicts must not move
+    # with no gcd value treated as forcing rationality and no skip by field
+    # of values, fsz_test checks every beta the skip rules leave out; the
+    # verdicts and witnesses must not move
     cases = FSZ_DECIDE_CASES + tuple((spec, 1) for spec in ACCEPTANCE_SPECS)
     sessions = [Session(construct_group(spec)) for spec, _ in cases]
     skipped = [fsz_test(S, d) for S, (_, d) in zip(sessions, cases)]
     monkeypatch.setattr(fszd.indicators, "_SMALL", frozenset())
+    _no_field_skips(monkeypatch)
     unskipped = [fsz_test(S, d) for S, (_, d) in zip(sessions, cases)]
-    assert [r.verdict for r in unskipped] == [r.verdict for r in skipped]
+    assert [(r.verdict, r.witness) for r in unskipped] == [(r.verdict, r.witness) for r in skipped]
     assert all(u.betas_checked >= s.betas_checked for u, s in zip(unskipped, skipped))
     assert sum(u.betas_checked for u in unskipped) > sum(s.betas_checked for s in skipped)
+
+
+def test_fsz_field_skips_keep_the_planted_witness(sqrt5_beta_at_chi_3, monkeypatch):
+    # the planted beta is irrational at a row that leaves Q, so the skips by
+    # field of values must reach it at the same (z, m, chi); the gcd rule is
+    # kept, as the plant ignores the reduction lemmas it rests on
+    skipped = fsz_test(construct_group("C25"))
+    _no_field_skips(monkeypatch)
+    unskipped = fsz_test(construct_group("C25"))
+    assert (skipped.verdict, skipped.witness) == (unskipped.verdict, unskipped.witness) == (False, (1, 5, 3))
+    assert (skipped.betas_checked, unskipped.betas_checked) == (3, 4)
+
+
+def test_fsz_builds_no_table_for_centralizers_inside_the_field():
+    # every character of C5xC5 lies in Q(zeta_5), and Q8's central classes
+    # have Q8 itself, whose characters are rational, as centralizer
+    S = Session(construct_group("C5xC5"))
+    assert fsz_test(S, d=5) == FszResult(True, None, 0, 5)
+    assert all(S.centralizer_group(z)._chartab is None for z in range(len(S.classes)))
+    S = Session(construct_group("Q8"))
+    assert fsz_test(S, d=2).verdict
+    central = [z for z, cl in enumerate(S.classes.classes) if cl.size == 1]
+    assert len(central) == 2
+    assert all(S.centralizer_group(z)._chartab is None for z in central)
+
+
+def test_fsz_rows_leaving_the_field():
+    # A5's two characters of degree 3 take the real values (1 +- sqrt5)/2
+    rows_leaving = fszd.indicators._rows_leaving
+    table = character_table(get_group("A5"))
+    assert [table.degrees[i] for i in rows_leaving(table, 1)] == [3, 3]
+    assert rows_leaving(table, 5) == rows_leaving(table, 10) == []
+    # C4's two faithful characters take the values +-i
+    table = character_table(construct_group("C4"))
+    assert len(rows_leaving(table, 2)) == 2 and rows_leaving(table, 4) == []
+
+
+def test_field_of_values_read_off_the_classes():
+    # Brauer's permutation lemma: all characters of C lie in Q(zeta_d)
+    # exactly when no class of C fuses with another over Q(zeta_d)
+    seen = set()
+    specs = dict.fromkeys(ACCEPTANCE_SPECS + tuple(spec for spec, _ in FSZ_DECIDE_CASES))
+    for spec in specs:
+        S = get_session(spec)
+        for C in {id(C): C for C in map(S.centralizer_group, range(len(S.classes)))}.values():
+            values = {v for cf in character_table(C).irreducibles for v in cf.values}
+            for d in divisors(2 * C.exponent()):
+                inside = all(v.in_field(d) for v in values)
+                assert fszd.indicators._all_characters_in(C, d) == inside, (spec, C, d)
+                seen.add((d % 2, d % 4 == 2, inside))
+    # odd d, d = 2 mod 4 and d = 0 mod 4, each on both sides
+    assert seen == {(p, q, i) for p, q in ((1, False), (0, True), (0, False)) for i in (True, False)}
 
 
 def test_fsz_matches_full_rationality():

@@ -128,6 +128,16 @@ def test_resource_limits():
         commuting_pair_table(G, max_order=50)
 
 
+def test_oracle_sweep_checks_the_order_limit_first(monkeypatch):
+    # S9 is past the oracle limit: the sweep must refuse it before its
+    # classes, which take most of a second, are computed
+    monkeypatch.delenv("FSZD_MAX_ORDER", raising=False)
+    G = construct_group("S9")
+    with pytest.raises(ResourceLimitError, match="oracle limited to order 5040"):
+        oracle_equivalence_sweep(G)
+    assert G._classes is None
+
+
 def test_max_order_env(monkeypatch):
     monkeypatch.setenv("FSZD_MAX_ORDER", "10")
     G = construct_group("A4")

@@ -503,6 +503,35 @@ def test_rational_classes():
                         assert cs.power_map(r)[c] in members
 
 
+def test_rational_classes_over_q_zeta_d():
+    C5, C12 = construct_group("C5"), get_group("C12")
+    assert rational_classes(C5, 5) == tuple((c,) for c in range(5))
+    # Q(zeta_10) = Q(zeta_5), and Q(zeta_2) = Q
+    assert rational_classes(C5, 10) == rational_classes(C5, 5)
+    for spec in ("S4", "C12", "Q8", SL23_SPEC):
+        assert rational_classes(get_group(spec), 2) == rational_classes(get_group(spec), 1)
+    # over Q(i) the classes of order 3 and 6 in C12 still fuse, those of order 4 do not
+    cs = C12.conjugacy_classes()
+    orders = {cell: cs.classes[cell[0]].order for cell in rational_classes(C12, 4)}
+    assert sorted(len(cell) for cell, o in orders.items() if o in (3, 6)) == [2, 2]
+    assert all(len(cell) == 1 for cell, o in orders.items() if o == 4)
+    assert rational_classes(C12, 12) == tuple((c,) for c in range(12))
+    # each cell is an orbit of Gal(Q(zeta_N)/Q(zeta_d)), N = lcm(exp(G), d):
+    # the units R mod N with R = 1 mod d, acting by c -> class of rep(c)**R
+    for spec in ("S4", "C12", "Q8", SL23_SPEC):
+        G = get_group(spec)
+        cs = G.conjugacy_classes()
+        for d in range(1, 2 * cs.exponent + 1):
+            N = math.lcm(cs.exponent, d)
+            galois = [R for R in range(1, N + 1) if math.gcd(R, N) == 1 and R % d == 1 % d]
+            cells = rational_classes(G, d)
+            assert sorted(c for cell in cells for c in cell) == list(range(len(cs)))
+            for cell in cells:
+                assert set(cell) == {cs.power_map(R)[cell[0]] for R in galois}, (spec, d, cell)
+    with pytest.raises(BadDivisorError):
+        rational_classes(C5, 0)
+
+
 def test_restricted_normalizer():
     S3 = get_group("S3")
     c3 = Permutation.from_cycles(3, [(1, 2, 3)])
