@@ -8,10 +8,11 @@ Each route is picked by a structural test that holds exactly:
    chi_j(x^t) = zeta_|G|^(jt) for j < |G| (``_cyclic_rows``).
 3. Symmetric: |G| = k! for the k points G's generators move.  G lies in
    the symmetric group on those points, which has order k!, so it is that
-   group.  Row lambda at a class is chi_lambda at the rep's cycle type on
-   the k points, by the Murnaghan-Nakayama rule on beta-sets (James &
-   Kerber, *The Representation Theory of the Symmetric Group*, 1981, 2.4;
-   ``_symmetric_rows``).
+   group; permcore's class set makes the same test and keeps the points
+   (``symmetric_on``).  Row lambda at a class is chi_lambda at the rep's
+   cycle type on the k points, by the Murnaghan-Nakayama rule on beta-sets
+   (James & Kerber, *The Representation Theory of the Symmetric Group*,
+   1981, 2.4; ``_symmetric_rows``).
 4. Dixon-Schneider, for every other group.
 
 Every route shares each distinct value object among its rows.
@@ -317,8 +318,12 @@ def _class_matrix_row(cs: ConjugacyClassSet, i: int, j: int) -> dict[int, int]:
 
 def class_mult_coeff(classes: ConjugacyClassSet, a: int, b: int, c: int) -> int:
     """Number of pairs (x, y) in class a x class b with x*y = rep(c): the
-    structure constant a_ab^c, from row b of class matrix a."""
-    return _class_matrix_row(classes, a, b).get(c, 0)
+    structure constant a_ab^c, from row b of class matrix a, built once per
+    class set and kept on it."""
+    row = classes._cmc_rows.get((a, b))
+    if row is None:
+        row = classes._cmc_rows[a, b] = _class_matrix_row(classes, a, b)
+    return row.get(c, 0)
 
 
 class CharacterTable:
@@ -568,8 +573,8 @@ def character_table(G: Group) -> CharacterTable:
         rows = _product_rows(G, cs, factors)
     elif generator is not None:
         rows = _cyclic_rows(cs, generator)
-    elif n == math.factorial(k := _moved_point_count(G)):
-        rows = _symmetric_rows(cs, k)
+    elif cs.symmetric_on is not None:
+        rows = _symmetric_rows(cs, len(cs.symmetric_on))
     else:
         rows = _dixon_schneider_rows(G, cs)
     rows.sort(key=_row_key)
@@ -582,10 +587,6 @@ def character_table(G: Group) -> CharacterTable:
 def _row_key(cf: ClassFunction):
     """Rows sort by degree, then by their values' sort keys."""
     return cf.degree().as_integer(), [v.sort_key() for v in cf.values]
-
-
-def _moved_point_count(G: Group) -> int:
-    return sum(any(g.img[p] != p for g in G.generators) for p in range(G.degree))
 
 
 def _cyclic_rows(cs: ConjugacyClassSet, c: int) -> list[ClassFunction]:
@@ -601,21 +602,11 @@ def _cyclic_rows(cs: ConjugacyClassSet, c: int) -> list[ClassFunction]:
     return [ClassFunction(cs, [roots[j * t % n] for t in exponent_at]) for j in range(n)]
 
 
-def _partitions(k: int, largest: int | None = None):
-    """The partitions of k into parts at most largest, as descending tuples."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(min(k, largest or k), 0, -1):
-        for rest in _partitions(k - first, first):
-            yield (first, *rest)
-
-
 def _symmetric_rows(cs: ConjugacyClassSet, k: int) -> list[ClassFunction]:
     """The irreducibles chi_lambda of Sym(k points), lambda a partition of
-    k, at each class's cycle type mu on those points, by the
-    Murnaghan-Nakayama rule (James & Kerber, *The Representation Theory of
-    the Symmetric Group*, 1981, 2.4): chi_lambda(mu) is the sum over the
+    k, at each class's cycle type mu on those points (``cs.cycle_types``),
+    by the Murnaghan-Nakayama rule (James & Kerber, *The Representation
+    Theory of the Symmetric Group*, 1981, 2.4): chi_lambda(mu) is the sum over the
     mu_1-rim hooks h of lambda of (-1)^(leg length of h) *
     chi_(lambda - h)(mu_2, ...).  lambda is coded by its beta-set with k
     beads, {lambda_i + k - i}, as a bitmask; removing an r-rim hook moves a
@@ -640,12 +631,9 @@ def _symmetric_rows(cs: ConjugacyClassSet, k: int) -> list[ClassFunction]:
             memo[key] = value
         return value
 
-    types = []
-    for cl in cs.classes:
-        lengths = sorted(map(len, cl.rep._cycles0()), reverse=True)
-        types.append((*lengths, *(1,) * (k - sum(lengths))))
+    types = cs.cycle_types
     rows = []
-    for lam in _partitions(k):
+    for lam in types:  # each partition of k is the cycle type of one class
         mask = sum(1 << (part + k - i) for i, part in enumerate(lam, start=1))
         mask |= (1 << (k - len(lam))) - 1  # the beads of lambda's zero parts
         rows.append([chi(mask, mu) for mu in types])

@@ -6,15 +6,21 @@ Composition is right-to-left: ``(a * b)(i) = a(b(i))``, and conjugation is
 
 Order and membership go through a deterministic Schreier-Sims stabilizer
 chain, so they never require full enumeration.  Conjugacy classes are grown
-from the class of 1 by a walk over the classes found so far (see
-``_compute_classes``), up to a configurable bound on |G| (``FSZD_MAX_ORDER``
-overrides it).  The walk is the one cover of G, and its index the one store
-of G's elements: each packed element is a key once, its value coding its
-class and the Schreier edge that reached it (see ``_conjugation_orbit``).
-The index answers ``position_of``, its keys are ``Group.elements()``, and
+from the class of 1 by a walk over the classes found so far (see ``_walk``),
+up to a configurable bound on |G| (``FSZD_MAX_ORDER`` overrides it).  The
+walk is the one cover of G, and its index the one store of G's elements:
+each packed element is a key once, its value coding its class and the
+Schreier edge that reached it (see ``_conjugation_orbit``).  The index
+answers ``position_of``, its keys are ``Group.elements()``, and
 centralizers, conjugators and restricted normalizers read transversals off
 it.  Each class lists its members breadth first, and has a power column (the
 classes of rep**t, t < o(rep)) that answers every power question.
+
+A group that is the full symmetric group on the points it moves skips the
+walk: its classes, power columns, ``position_of``, centralizers and
+conjugators come from cycle types (``_symmetric_classes``), and its index is
+lazy, built by the same walk on the first call that needs it (``members``,
+``product_classes``, ``Group.elements()``).
 
 The element-level loops (the stabilizer chain, the class walk, conjugation
 orbits, centralizers' Schreier generators, power columns, class products) run
@@ -35,8 +41,8 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections import deque
-from itertools import accumulate, repeat
+from collections import Counter, deque
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -409,7 +415,8 @@ class Group:
     def elements(self) -> tuple[Permutation, ...]:
         """All elements as Permutations, sorted by image tuple (desk scale only):
         the keys of the class walk's index, which sort in image-tuple order in
-        both packings."""
+        both packings.  For a symmetric group this runs the walk that its
+        classes skip (see ``ConjugacyClassSet``)."""
         if self._elements is None:
             self._elements = tuple(map(_unpack, sorted(self.conjugacy_classes()._index)))
         return self._elements
@@ -434,17 +441,26 @@ class ConjugacyClass:
     points, image tuples above) breadth first from its root, the element
     where the class walk found it, which need not be rep.  The Schreier edge
     that reached each member is kept in the class set's index, not here.
-    ``elements`` unpacks the members into a frozenset of ``Permutation``s on
-    each access.
+    A class of a symmetric group is known by its cycle type, and its
+    ``members`` run the class walk on first access (see
+    ``ConjugacyClassSet``).  ``elements`` unpacks the members into a
+    frozenset of ``Permutation``s on each access.
     """
 
-    __slots__ = ("rep", "size", "order", "members")
+    __slots__ = ("rep", "size", "order", "_members", "_owner")
 
-    def __init__(self, rep: Permutation, order: int, members: list):
+    def __init__(self, rep: Permutation, order: int, size: int, members: list | None = None):
         self.rep = rep
-        self.size = len(members)
+        self.size = size
         self.order = order
-        self.members = members
+        self._members = members
+        self._owner: "ConjugacyClassSet | None" = None  # set by the class set
+
+    @property
+    def members(self) -> list:
+        if self._members is None:
+            self._owner._walked()
+        return self._members
 
     @property
     def elements(self) -> frozenset[Permutation]:
@@ -469,33 +485,57 @@ class ConjugacyClassSet:
     Representatives are the lexicographically smallest element of each class;
     classes are sorted by (element order, class size, representative).
 
-    ``power_columns[i]`` holds the class index of rep**t for t < o(rep), from
-    repeated packed products with rep; power maps, inverse, root and rational
-    classes and the character-table lift all read it.
+    ``power_columns[i]`` holds the class index of rep**t for t < o(rep); power
+    maps, inverse, root and rational classes and the character-table lift
+    all read it.
+
+    The class walk (``_walk``) leaves an index of G's packed elements, and
+    the class index of packed x is position[index[x]] (``_walked``).  It
+    backs ``position_of``, ``product_classes``, the classes' ``members``,
+    ``Group.elements()`` and the transversals of centralizers and
+    conjugators, and it is built with the classes.  When G is the full
+    symmetric group on the points it moves, ``symmetric_on`` holds those
+    points, ``cycle_types`` the partition of their number for each class,
+    and the classes come from cycle types instead (``_symmetric_classes``):
+    so do their power columns, ``position_of``, centralizers and
+    conjugators.  There the index is lazy: the walk runs once, on its first
+    use, and each class takes the orbit whose least element is its rep.
     """
 
-    __slots__ = ("group", "classes", "_index", "_position", "power_columns", "exponent")
+    __slots__ = (
+        "group",
+        "classes",
+        "power_columns",
+        "exponent",
+        "symmetric_on",
+        "cycle_types",
+        "_by_type",
+        "_walk",
+        "_cmc_rows",
+    )
 
     def __init__(
-        self, group: Group, classes: Sequence[ConjugacyClass], index: dict, position: Sequence[int]
+        self,
+        group: Group,
+        classes: Sequence[ConjugacyClass],
+        power_columns: Sequence[tuple[int, ...]],
+        walk: tuple[dict, tuple] | None = None,
+        symmetric_on: frozenset[int] | None = None,
     ):
-        # the class index of packed x is position[index[x]]: index codes the
-        # class of x by its number in walk order (see _compute_classes), so the
-        # sort renumbers only position
         self.group = group
         self.classes = tuple(classes)
-        self._index = index
-        self._position = tuple(position)
+        self.power_columns = tuple(power_columns)
         self.exponent = math.lcm(*(cl.order for cl in self.classes))
-        # rep**(t + 1) = rep * rep**t is one packed product with rep's table
-        one, compose, pad = group._pack(range(group.degree)), group._compose, group._pad
-        position, found = self._position.__getitem__, index.__getitem__
-        columns = []
+        self.symmetric_on = symmetric_on
+        self.cycle_types = None
+        if symmetric_on is not None:
+            k = len(symmetric_on)
+            self.cycle_types = tuple(_cycle_type(cl.rep._cycles0(), k) for cl in self.classes)
+        self._by_type = {t: c for c, t in enumerate(self.cycle_types or ())}
+        self._walk = walk  # (index, position), see _walked
+        self._cmc_rows: dict = {}  # chartab.class_mult_coeff's class-matrix rows, keyed (i, j)
         for cl in self.classes:
-            rep_table = group._pack(cl.rep.img) + pad
-            powers = accumulate(repeat(rep_table, cl.order - 1), compose, initial=one)
-            columns.append(tuple(map(position, map(found, powers))))
-        self.power_columns = tuple(columns)
+            cl._owner = self
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -503,12 +543,43 @@ class ConjugacyClassSet:
     def __iter__(self) -> Iterator[ConjugacyClass]:
         return iter(self.classes)
 
+    @property
+    def _index(self) -> dict:
+        return self._walked()[0]
+
+    def _walked(self) -> tuple[dict, tuple]:
+        """(index, position) of the class walk, which runs here only for a
+        symmetric group's classes, on the first use of the index; each orbit
+        becomes the members of the class whose rep is its least element."""
+        if self._walk is None:
+            G = self.group
+            orbits, index = _walk(G, G.order())
+            at = {G._pack(cl.rep.img): c for c, cl in enumerate(self.classes)}
+            found = []
+            for orbit in orbits:
+                c = at.get(min(orbit))
+                if c is None or self.classes[c].size != len(orbit):
+                    raise InvariantError(
+                        f"conjugacy classes of {G!r}: the walk found a class of size "
+                        f"{len(orbit)} that its cycle types do not give"
+                    )
+                self.classes[c]._members = orbit
+                found.append(c)
+            self._walk = (index, _positions(G, found))
+        return self._walk
+
     def position_of(self, x: Permutation) -> int:
         G = self.group
         if isinstance(x, Permutation) and x.degree == G.degree:
-            i = self._index.get(G._pack(x.img))
-            if i is not None:
-                return self._position[i]
+            if self.symmetric_on is None:
+                index, position = self._walked()
+                i = index.get(G._pack(x.img))
+                if i is not None:
+                    return position[i]
+            else:
+                cycles = x._cycles0()
+                if all(p in self.symmetric_on for cyc in cycles for p in cyc):
+                    return self._by_type[_cycle_type(cycles, len(self.symmetric_on))]
         raise NotInGroupError(f"{x!r} is not in the group")
 
     def power_map(self, m: int) -> tuple[int, ...]:
@@ -523,9 +594,10 @@ class ConjugacyClassSet:
         of the class's members: one packed product per member, whose class
         the index gives."""
         G = self.group
+        index, position = self._walked()
         r, pad = G._pack(self.classes[l].rep.img), G._pad
         products = map(G._compose, repeat(r), [y + pad for y in self.classes[i].members])
-        return list(map(self._position.__getitem__, map(self._index.__getitem__, products)))
+        return list(map(position.__getitem__, map(index.__getitem__, products)))
 
 
 def _checked_order(G: Group) -> int:
@@ -572,8 +644,9 @@ def _transversal(G: Group, index: dict, y) -> tuple:
     return t, t_inv
 
 
-def _compute_classes(G: Group) -> ConjugacyClassSet:
-    """G's classes, grown from the class of 1 without enumerating G.
+def _walk(G: Group, n: int) -> tuple[list[list], dict]:
+    """The class walk: G's classes as orbits in the order found, and the
+    index of their members, grown from the class of 1 without enumerating G.
 
     The walk reads the elements of the classes found so far in the order
     they were found and tries g * y for each generator g; a product not yet
@@ -581,11 +654,9 @@ def _compute_classes(G: Group) -> ConjugacyClassSet:
     The covered set S is a union of classes, so it is closed under
     conjugation, and it contains 1.  While S != G some g * y leaves S, since
     the Cayley graph of G on its generators is connected; so the walk covers
-    G, and it stops as soon as it has.  The k-th class found has root code
-    width * k in the index; its representative is its least packed member
-    (the lex-min element).
+    G, and it stops as soon as it has, at n = |G| elements.  The k-th orbit
+    has root code width * k in the index.
     """
-    n = _checked_order(G)
     compose = G._compose
     width = len(G._conj) + 1
     tables = [g_table for _, g_table in G._conj]
@@ -599,22 +670,157 @@ def _compute_classes(G: Group) -> ConjugacyClassSet:
     while True:
         orbits.append(_conjugation_orbit(G, x, index, width * len(orbits)))
         if len(index) == n:
-            break
+            return orbits, index
         x = next(misses, None)
         if x is None:
             raise InvariantError(
                 f"conjugacy classes of {G!r}: the walk covered {len(index)} of {n} elements"
             )
+
+
+def _positions(G: Group, found: Sequence[int]) -> tuple[int, ...]:
+    """The position list of the walk's index, indexed by code: the class
+    index found[k] of the k-th orbit, for each of its width codes."""
+    width = len(G._conj) + 1
+    return tuple(c for c in found for _ in range(width))
+
+
+def _compute_classes(G: Group) -> ConjugacyClassSet:
+    """G's classes: by cycle type when G is the full symmetric group on the
+    points it moves (``_symmetric_classes``), else from the class walk
+    (``_walk_classes``).  |G| is checked against the enumeration limit
+    first, either way."""
+    n = _checked_order(G)
+    points = _symmetric_on(G)
+    if points is not None:
+        return _symmetric_classes(G, points)
+    return _walk_classes(G, n)
+
+
+def _walk_classes(G: Group, n: int) -> ConjugacyClassSet:
+    """G's classes from the class walk, for any G of order n: each class's
+    representative is its least packed member (the lex-min element), and
+    its power column is read off the index."""
+    orbits, index = _walk(G, n)
     classes = []
     for orbit in orbits:
         rep = _unpack(min(orbit))
-        classes.append(ConjugacyClass(rep, rep.order(), orbit))
+        classes.append(ConjugacyClass(rep, rep.order(), len(orbit), orbit))
     keys = [(cl.order, cl.size, cl.rep.img) for cl in classes]
     found = sorted(range(len(classes)), key=keys.__getitem__)
-    position = [0] * (width * len(found))  # indexed by code
+    rank = [0] * len(found)
     for i, c in enumerate(found):
-        position[width * c : width * (c + 1)] = repeat(i, width)
-    return ConjugacyClassSet(G, [classes[c] for c in found], index, position)
+        rank[c] = i
+    position = _positions(G, rank)
+    # rep**(t + 1) = rep * rep**t is one packed product with rep's table
+    one, compose, pad = G._pack(range(G.degree)), G._compose, G._pad
+    columns = []
+    for c in found:
+        rep_table = G._pack(classes[c].rep.img) + pad
+        powers = accumulate(repeat(rep_table, classes[c].order - 1), compose, initial=one)
+        columns.append(tuple(map(position.__getitem__, map(index.__getitem__, powers))))
+    return ConjugacyClassSet(G, [classes[c] for c in found], columns, (index, position))
+
+
+# ---------------------------------------------------------------------------
+# Symmetric groups by cycle type
+
+
+def _symmetric_on(G: Group) -> frozenset[int] | None:
+    """The (0-based) points G's generators move, when G is the full
+    symmetric group on them: G lies in that group, so |G| = k! for the k
+    points makes them equal.  None for every other G."""
+    points = frozenset(p for g in G.generators for p, q in enumerate(g.img) if p != q)
+    return points if G.order() == math.factorial(len(points)) else None
+
+
+def _partitions(k: int, largest: int | None = None):
+    """The partitions of k into parts at most largest, as descending tuples."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+def _cycle_type(cycles: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
+    """The partition of k by the lengths of the nontrivial cycles on k
+    points, padded with the parts 1 of the fixed ones."""
+    lengths = sorted(map(len, cycles), reverse=True)
+    return (*lengths, *(1,) * (k - sum(lengths)))
+
+
+def _centralizer_order(lam: Sequence[int]) -> int:
+    """z_lambda = prod over lengths L of L^m_L * m_L!, the order of the
+    centralizer of an element of cycle type lambda."""
+    return math.prod(L**m * math.factorial(m) for L, m in Counter(lam).items())
+
+
+def _symmetric_classes(G: Group, points: frozenset[int]) -> ConjugacyClassSet:
+    """The classes of G = Sym(points) by cycle type, with no walk over G:
+    one class per partition lambda of k = |points|, of size k!/z_lambda and
+    order lcm(lambda) (James & Kerber, *The Representation Theory of the
+    Symmetric Group*, 1981, 1.2).
+
+    Its lex-min element maps each point, in ascending order, to the least
+    image its cycle type allows: a cycle closes as soon as it can, and
+    otherwise moves on to the next unused point.  So it fixes the first
+    points, then runs cycles of increasing length, each on consecutive
+    points.  An L-cycle to the power t splits into gcd(L, t) cycles of
+    length L/gcd(L, t), which gives the power columns.
+    """
+    ordered, by_type = sorted(points), {}
+    for lam in _partitions(len(points)):
+        starts = list(accumulate(reversed(lam), initial=0))
+        cycles = [ordered[a:b] for a, b in zip(starts, starts[1:])]
+        rep = _mapping(G.degree, (ab for cyc in cycles for ab in zip(cyc, cyc[1:] + cyc[:1])))
+        by_type[lam] = ConjugacyClass(rep, math.lcm(*lam), G.order() // _centralizer_order(lam))
+    types = sorted(by_type, key=lambda lam: (by_type[lam].order, by_type[lam].size, by_type[lam].rep.img))
+    at = {lam: c for c, lam in enumerate(types)}
+
+    def power_type(lam, t):
+        return tuple(sorted((L // g for L in lam for g in (math.gcd(L, t),) for _ in range(g)), reverse=True))
+
+    columns = [tuple(at[power_type(lam, t)] for t in range(by_type[lam].order)) for lam in types]
+    return ConjugacyClassSet(G, map(by_type.get, types), columns, symmetric_on=points)
+
+
+def _mapping(degree: int, pairs: Iterable[tuple[int, int]]) -> Permutation:
+    """The permutation taking a to b for each (a, b) in pairs, fixing the rest."""
+    img = list(range(degree))
+    for a, b in pairs:
+        img[a] = b
+    return Permutation._raw(tuple(img))
+
+
+def _symmetric_centralizer(G: Group, z: Permutation, points: frozenset[int]) -> Group:
+    """C_G(z) for G = Sym(points): the product over cycle lengths L of
+    C_L wr S_m, m the number of z's L-cycles on the points (its fixed points
+    there are the 1-cycles).  It is generated by each cycle, the swap of the
+    first two L-cycles and a cycle through all of them, point by point in
+    each cycle's order.  Its order must be z_lambda = |G| / |class of z|,
+    checked on its chain."""
+    n = G.degree
+    by_length: dict[int, list] = {}
+    for cyc in z._cycles0(fixpoints=True):
+        if cyc[0] in points:
+            by_length.setdefault(len(cyc), []).append(cyc)
+    gens = []
+    for _, cycles in sorted(by_length.items()):
+        gens += [_mapping(n, zip(cyc, cyc[1:] + cyc[:1])) for cyc in cycles]  # Group drops 1-cycles
+        if len(cycles) > 1:
+            a, b = cycles[:2]
+            gens.append(_mapping(n, [*zip(a, b), *zip(b, a)]))
+            gens.append(_mapping(n, zip(chain(*cycles), chain(*cycles[1:], cycles[0]))))
+    C = Group(n, gens, name=f"C_{G.name or 'G'}({z.cycle_string()})")
+    want = _centralizer_order([L for L, cycles in by_length.items() for _ in cycles])
+    if C.order() != want:
+        raise InvariantError(
+            f"centralizer of {z.cycle_string()} in {G!r}: order {C.order()}, "
+            f"but |G| / |class| = {want}"
+        )
+    return C
 
 
 def conjugacy_classes(G: Group) -> ConjugacyClassSet:
@@ -641,9 +847,16 @@ def centralizer(G: Group, z: Permutation) -> Group:
     identity when z is the root).  So the generators returned depend on
     whether G's class set exists, though the subgroup does not.  They are
     built packed, and only those the chain keeps are unpacked.
+
+    When G is the full symmetric group on the points it moves, the
+    generators come from z's cycles instead (``_symmetric_centralizer``),
+    with no orbit and no index.
     """
     if z not in G:
         raise NotInGroupError("centralizer: element is not in the group")
+    points = _symmetric_on(G)
+    if points is not None:
+        return _symmetric_centralizer(G, z, points)
     compose, pad = G._compose, G._pad
     x = G._pack(z.img)
     cs = G._classes
@@ -684,11 +897,20 @@ def centralizer(G: Group, z: Permutation) -> Group:
 
 
 def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation]:
-    """Some t in G with t*a*t^-1 == b, or None if a, b are not conjugate."""
+    """Some t in G with t*a*t^-1 == b, or None if a, b are not conjugate:
+    read off the walk's transversals, or, when G is the full symmetric group
+    on the points it moves, the t mapping the cycles of a onto those of b,
+    sorted by length, point by point."""
     cs = G.conjugacy_classes()
     i = cs.position_of(a)
     if cs.position_of(b) != i:
         return None
+    points = cs.symmetric_on
+    if points is not None:
+        a_cycles, b_cycles = (
+            sorted((c for c in x._cycles0(fixpoints=True) if c[0] in points), key=len) for x in (a, b)
+        )
+        return _mapping(G.degree, zip(chain(*a_cycles), chain(*b_cycles)))
     t_b = _transversal(G, cs._index, G._pack(b.img))[0]
     t_a_inv = _transversal(G, cs._index, G._pack(a.img))[1]
     return _unpack(G._compose(t_a_inv, t_b + G._pad))  # T(b) * T(a)^-1

@@ -120,10 +120,10 @@ def test_criterion_3_forced_trivialities():
 
 
 def test_criterion_4_symmetric_groups_nonnegative():
-    """All indicators of D(S_n), n <= 9, are nonnegative integers."""
+    """All indicators of D(S_n), n <= 10, are nonnegative integers."""
     start = time.perf_counter()
     stats = []
-    for n in range(1, 10):
+    for n in range(1, 11):
         S = get_session(f"S{n}")
         rep = all_indicators(S)
         for simple in rep.simples:
@@ -139,8 +139,8 @@ def test_criterion_4_symmetric_groups_nonnegative():
     elapsed = time.perf_counter() - start
     assert elapsed < 600, f"criterion 4 exceeded 10 minutes ({elapsed:.1f}s)"
     report(
-        "criterion 4: D(S_n) nonnegative integer indicators for n<=9 "
-        f"({stats[-1][1]} simples of D(S_9)), {elapsed:.1f}s"
+        "criterion 4: D(S_n) nonnegative integer indicators for n<=10 "
+        f"({stats[-1][1]} simples of D(S_10)), {elapsed:.1f}s"
     )
 
 

@@ -150,6 +150,19 @@ def test_class_mult_coeff_examples():
     assert class_mult_coeff(s3, trans, trans, 0) == 3
 
 
+def test_class_mult_coeff_builds_each_row_once(monkeypatch):
+    import fszd.chartab as chartab
+
+    built = []
+    real = chartab._class_matrix_row
+    monkeypatch.setattr(chartab, "_class_matrix_row", lambda cs, i, j: built.append((i, j)) or real(cs, i, j))
+    cs = construct_group("S4").conjugacy_classes()
+    first = [class_mult_coeff(cs, 2, 3, c) for c in range(len(cs))]
+    assert [class_mult_coeff(cs, 2, 3, c) for c in range(len(cs))] == first
+    assert built == [(2, 3)]
+    assert first == [real(cs, 2, 3).get(c, 0) for c in range(len(cs))]
+
+
 def test_burnside_identity():
     # CMC(a, b^-1, c) = (|a||b|/|G|) sum chi(a) conj(chi(b)) conj(chi(c)) / chi(e);
     # equivalently CMC(a, b, c) carries chi(b) unconjugated.
@@ -1317,9 +1330,9 @@ SYMMETRIC_GROUPS = [construct_group(f"S{k}") for k in range(3, 9)] + [
 
 @pytest.mark.parametrize("G", SYMMETRIC_GROUPS, ids=repr)
 def test_symmetric_rows_match_dixon_schneider(G):
-    from fszd.chartab import _moved_point_count, _symmetric_rows
+    from fszd.chartab import _symmetric_rows
 
-    k = _moved_point_count(G)
+    k = len(G.conjugacy_classes().symmetric_on)
     assert G.order() == math.factorial(k)
     want = _route_values(_dixon_schneider_table(G).irreducibles)
     assert _route_values(_symmetric_rows(G.conjugacy_classes(), k)) == want

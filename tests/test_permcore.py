@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fszd import (
     DegreeLimitError,
+    Group,
     InvariantError,
     Session,
     all_indicators,
@@ -19,12 +21,14 @@ from fszd import (
     conjugator,
     construct_group,
     element_power_order,
+    fsz_test,
     group_exponent,
     rational_classes,
     restricted_normalizer,
 )
 from fszd.chartab import ClassFunction, _class_matrix_row, class_mult_coeff
 from fszd import permcore
+from fszd._nt import divisors
 from fszd.permcore import StabilizerChain, _transversal
 
 from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, two_generator_groups
@@ -336,7 +340,7 @@ def test_packed_chain_matches_reference_above_256_points():
 # sha256 of the centralizer generators over every class, as the
 # Permutation-based chain and Schreier generators produced them
 CENTRALIZER_DIGESTS = {
-    "S7": "4188384c3e8b15a74161217a08adb2857fc9a8e4122458475e7d278086cee9cf",
+    "S7": "07d590ebe050ba043dc25c8c4993209b59f5cee614009657935f292c5cd732d5",
     "C2xS5": "7dbffb3a541697b8f66517a2ad4dd413113751db6fccf6d73002a2cd35d4c3cb",
     SL23_SPEC: "369bbe68a959997adad1912ff7679aabf14725a3643bad86f2efd6c4c639d198",
     "C5xC5": "997d04c86e58c69220f6da2ac8aba5863f8088175e25df0fc4a09b27d96462b3",
@@ -733,3 +737,89 @@ def test_degree_above_256_packs_image_tuples():
         return sorted((e.m, repr(e.value)) for s in report.simples for e in s.indicators)
 
     assert values(big) == values(small)
+
+
+# -- symmetric groups by cycle type against the class walk ---------------------
+
+
+def _relabeled_symmetric(n, seed):
+    """S_n on 1..n with its points shuffled: a transposition and an n-cycle."""
+    points = random.Random(seed).sample(range(1, n + 1), n)
+    gens = [Permutation.from_cycles(n, [points[:2]]), Permutation.from_cycles(n, [points])]
+    return Group(n, gens if n > 1 else [], name=f"S{n} on {points}")
+
+
+SYMMETRIC_BY_TYPE = (
+    [construct_group(f"S{n}") for n in range(1, 8)]
+    + [_relabeled_symmetric(n, seed=n) for n in range(1, 8)]
+    + [
+        construct_group("perm:(2,5)(9);(2,5,7)"),  # S3 on {2, 5, 7} of degree 9
+        construct_group("perm:(1,2)"),
+        construct_group("perm:(1,2);(2,3);(3,4)"),
+        Group(3, [], name="trivial"),
+    ]
+)
+
+
+def _check_symmetric_against_walk(G):
+    cs = G.conjugacy_classes()
+    assert cs.symmetric_on is not None and cs._walk is None
+    # the reference: the classes of the same group from the class walk
+    W = Group(G.degree, G.generators)
+    W._classes = ref = permcore._walk_classes(W, W.order())
+    assert [(c.rep, c.size, c.order) for c in cs] == [(c.rep, c.size, c.order) for c in ref]
+    assert cs.power_columns == ref.power_columns
+    for d in divisors(ref.exponent):
+        assert rational_classes(G, d) == rational_classes(W, d)
+    for x in W.elements():
+        assert cs.position_of(x) == ref.position_of(x)
+    outside = [p + 1 for p in range(G.degree) if p not in cs.symmetric_on]
+    if outside and G.degree > 1:
+        with pytest.raises(NotInGroupError):
+            cs.position_of(Permutation.from_cycles(G.degree, [(outside[0], 2 if outside[0] == 1 else 1)]))
+    for cl in cs:
+        C = centralizer(G, cl.rep)
+        assert frozenset(C.elements()) == _centralizer_by_filter(W, cl.rep)
+    assert cs._walk is None  # nothing above ran the walk on G
+    for i, cl in enumerate(cs.classes):
+        for l in range(len(cs)):
+            assert cs.product_classes(i, l) == ref.product_classes(i, l)
+        for b in cl.elements:
+            for a, c in ((cl.rep, b), (b, cl.rep)):
+                t = conjugator(G, a, c)
+                assert t in G and t.conj(a) == c
+    assert cs.classes == ref.classes
+    assert G.elements() == W.elements()
+
+
+@pytest.mark.parametrize("G", SYMMETRIC_BY_TYPE, ids=repr)
+def test_symmetric_classes_match_the_walk(G):
+    _check_symmetric_against_walk(G)
+
+
+def test_symmetric_groups_never_walk_themselves(monkeypatch):
+    # a report of S8, a Session of S9 and fsz_test on S10 walk only centralizers
+    S8, S9, S10 = (construct_group(f"S{n}") for n in (8, 9, 10))
+    real = permcore._walk
+
+    def guarded(H, n):
+        if any(H is G for G in (S8, S9, S10)):
+            raise AssertionError(f"class walk on {H!r}")
+        return real(H, n)
+
+    monkeypatch.setattr(permcore, "_walk", guarded)
+    assert len(all_indicators(Session(S8)).simples) == 360
+    assert len(Session(S9).classes) == 30
+    assert fsz_test(S10).verdict
+    assert S10._classes._walk is None
+
+
+def test_symmetric_checks_raise_invariant_errors(monkeypatch):
+    G = construct_group("S5")
+    cs = G.conjugacy_classes()
+    cs.classes[3].rep = cs.classes[4].rep  # a rep no orbit of the walk has as its least element
+    with pytest.raises(InvariantError, match="cycle types do not give"):
+        cs._walked()
+    monkeypatch.setattr(permcore, "_centralizer_order", lambda lam: 7)
+    with pytest.raises(InvariantError, match=r"order 8, but \|G\| / \|class\| = 7"):
+        centralizer(G, Permutation.from_cycles(5, [(1, 2), (3, 4)]))

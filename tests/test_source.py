@@ -50,3 +50,14 @@ def test_every_nt_helper_has_a_caller_elsewhere():
     }
     assert len(helpers) >= 5
     assert sorted(helpers - called) == []
+
+
+def test_no_function_defined_in_two_modules():
+    # one definition of each helper: a module that needs another's uses it from there
+    where: dict[str, list[str]] = {}
+    for path in sorted(Path(fszd.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where.setdefault(node.name, []).append(path.name)
+    assert len(where) >= 50
+    assert {name: files for name, files in where.items() if len(files) > 1} == {}
