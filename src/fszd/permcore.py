@@ -5,22 +5,18 @@ Composition is right-to-left: ``(a * b)(i) = a(b(i))``, and conjugation is
 ``t.conj(x) = t * x * t^-1``.
 
 Order and membership go through a deterministic Schreier-Sims stabilizer
-chain, so they never require full enumeration.  Conjugacy classes are grown
-from the class of 1 by a walk over the classes found so far (see ``_walk``),
-up to a configurable bound on |G| (``FSZD_MAX_ORDER`` overrides it).  The
-walk is the one cover of G, and its index the one store of G's elements:
-each packed element is a key once, its value coding its class and the
-Schreier edge that reached it (see ``_conjugation_orbit``).  The index
-answers ``position_of``, its keys are ``Group.elements()``, and
-centralizers, conjugators and restricted normalizers read transversals off
-it.  Each class lists its members breadth first, and has a power column (the
-classes of rep**t, t < o(rep)) that answers every power question.
-
-A group that is the full symmetric group on the points it moves skips the
-walk: its classes, power columns, ``position_of``, centralizers and
-conjugators come from cycle types (``_symmetric_classes``), and its index is
-lazy, built by the same walk on the first call that needs it (``members``,
-``product_classes``, ``Group.elements()``).
+chain, so they never require full enumeration.  Each group has one
+class-set construction (``_pick_construction``): the class walk (``_Walk``)
+for any group, or cycle types (``_Symmetric``) for the full symmetric group
+on the points it moves.  It builds the conjugacy classes, up to a bound on
+|G| (``FSZD_MAX_ORDER`` overrides it), and answers ``position_of``,
+centralizers and conjugators.  The walk's index (``_walk``) is the one store
+of G's elements: each packed element is a key once, its value coding its
+class and the Schreier edge that reached it (see ``_conjugation_orbit``).
+It backs ``members``, ``product_classes``, ``Group.elements()`` and the
+walk's transversals; under another construction the walk runs on the first
+call that needs it.  Each class has a power column (the classes of rep**t,
+t < o(rep)) that answers every power question.
 
 The element-level loops (the stabilizer chain, the class walk, conjugation
 orbits, centralizers' Schreier generators, power columns, class products) run
@@ -228,8 +224,6 @@ class StabilizerChain:
     and the identity test is ``== one``.  A strong generator's inverse is
     read off its image once, when it is installed; a transversal inverse is
     the product of stored inverses, (g * u)^-1 = u^-1 * g^-1.
-    ``Permutation``s are made only at the boundary: ``extend``, ``strip``
-    and ``contains``.
     """
 
     def __init__(self, generators: Sequence[Permutation], degree: int):
@@ -393,6 +387,7 @@ class Group:
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._classes: "ConjugacyClassSet | None" = None
+        self._construction: "_Walk | _Symmetric | None" = None  # see _pick_construction
         self._chartab = None  # filled by chartab.character_table
 
     @property
@@ -415,8 +410,7 @@ class Group:
     def elements(self) -> tuple[Permutation, ...]:
         """All elements as Permutations, sorted by image tuple (desk scale only):
         the keys of the class walk's index, which sort in image-tuple order in
-        both packings.  For a symmetric group this runs the walk that its
-        classes skip (see ``ConjugacyClassSet``)."""
+        both packings, whatever G's construction (see ``ConjugacyClassSet``)."""
         if self._elements is None:
             self._elements = tuple(map(_unpack, sorted(self.conjugacy_classes()._index)))
         return self._elements
@@ -441,10 +435,9 @@ class ConjugacyClass:
     points, image tuples above) breadth first from its root, the element
     where the class walk found it, which need not be rep.  The Schreier edge
     that reached each member is kept in the class set's index, not here.
-    A class of a symmetric group is known by its cycle type, and its
-    ``members`` run the class walk on first access (see
-    ``ConjugacyClassSet``).  ``elements`` unpacks the members into a
-    frozenset of ``Permutation``s on each access.
+    Under a construction other than the walk, ``members`` runs the walk on
+    first access (see ``ConjugacyClassSet``).  ``elements`` unpacks the
+    members into a frozenset of ``Permutation``s on each access.
     """
 
     __slots__ = ("rep", "size", "order", "_members", "_owner")
@@ -480,7 +473,8 @@ class ConjugacyClass:
 
 
 class ConjugacyClassSet:
-    """Deterministically ordered conjugacy classes of a group.
+    """Deterministically ordered conjugacy classes of a group, built by its
+    construction, which also answers ``position_of``.
 
     Representatives are the lexicographically smallest element of each class;
     classes are sorted by (element order, class size, representative).
@@ -490,16 +484,12 @@ class ConjugacyClassSet:
     all read it.
 
     The class walk (``_walk``) leaves an index of G's packed elements, and
-    the class index of packed x is position[index[x]] (``_walked``).  It
-    backs ``position_of``, ``product_classes``, the classes' ``members``,
-    ``Group.elements()`` and the transversals of centralizers and
-    conjugators, and it is built with the classes.  When G is the full
-    symmetric group on the points it moves, ``symmetric_on`` holds those
-    points, ``cycle_types`` the partition of their number for each class,
-    and the classes come from cycle types instead (``_symmetric_classes``):
-    so do their power columns, ``position_of``, centralizers and
-    conjugators.  There the index is lazy: the walk runs once, on its first
-    use, and each class takes the orbit whose least element is its rep.
+    the class index of packed x is position[index[x]] (``_walked``).  The
+    walk construction builds it with the classes; under any other the walk
+    runs on the first use of the index, and each class takes the orbit whose
+    least element is its rep.  The symmetric construction sets
+    ``symmetric_on`` (its points) and ``cycle_types`` (each class's
+    partition of their number), else None.
     """
 
     __slots__ = (
@@ -507,32 +497,21 @@ class ConjugacyClassSet:
         "classes",
         "power_columns",
         "exponent",
+        "construction",
         "symmetric_on",
         "cycle_types",
-        "_by_type",
         "_walk",
         "_cmc_rows",
     )
 
-    def __init__(
-        self,
-        group: Group,
-        classes: Sequence[ConjugacyClass],
-        power_columns: Sequence[tuple[int, ...]],
-        walk: tuple[dict, tuple] | None = None,
-        symmetric_on: frozenset[int] | None = None,
-    ):
+    def __init__(self, group: Group, classes: Iterable, power_columns: Iterable, construction):
         self.group = group
         self.classes = tuple(classes)
         self.power_columns = tuple(power_columns)
         self.exponent = math.lcm(*(cl.order for cl in self.classes))
-        self.symmetric_on = symmetric_on
-        self.cycle_types = None
-        if symmetric_on is not None:
-            k = len(symmetric_on)
-            self.cycle_types = tuple(_cycle_type(cl.rep._cycles0(), k) for cl in self.classes)
-        self._by_type = {t: c for c, t in enumerate(self.cycle_types or ())}
-        self._walk = walk  # (index, position), see _walked
+        self.construction = construction
+        self.symmetric_on = self.cycle_types = None
+        self._walk = None  # (index, position), see _walked
         self._cmc_rows: dict = {}  # chartab.class_mult_coeff's class-matrix rows, keyed (i, j)
         for cl in self.classes:
             cl._owner = self
@@ -548,9 +527,9 @@ class ConjugacyClassSet:
         return self._walked()[0]
 
     def _walked(self) -> tuple[dict, tuple]:
-        """(index, position) of the class walk, which runs here only for a
-        symmetric group's classes, on the first use of the index; each orbit
-        becomes the members of the class whose rep is its least element."""
+        """(index, position) of the class walk, run here on the first use of
+        the index; each orbit becomes the members of the class whose rep is
+        its least element."""
         if self._walk is None:
             G = self.group
             orbits, index = _walk(G, G.order())
@@ -569,17 +548,10 @@ class ConjugacyClassSet:
         return self._walk
 
     def position_of(self, x: Permutation) -> int:
-        G = self.group
-        if isinstance(x, Permutation) and x.degree == G.degree:
-            if self.symmetric_on is None:
-                index, position = self._walked()
-                i = index.get(G._pack(x.img))
-                if i is not None:
-                    return position[i]
-            else:
-                cycles = x._cycles0()
-                if all(p in self.symmetric_on for cyc in cycles for p in cyc):
-                    return self._by_type[_cycle_type(cycles, len(self.symmetric_on))]
+        if isinstance(x, Permutation) and x.degree == self.group.degree:
+            c = self.construction.position(self, x)
+            if c is not None:
+                return c
         raise NotInGroupError(f"{x!r} is not in the group")
 
     def power_map(self, m: int) -> tuple[int, ...]:
@@ -598,15 +570,6 @@ class ConjugacyClassSet:
         r, pad = G._pack(self.classes[l].rep.img), G._pad
         products = map(G._compose, repeat(r), [y + pad for y in self.classes[i].members])
         return list(map(position.__getitem__, map(index.__getitem__, products)))
-
-
-def _checked_order(G: Group) -> int:
-    """|G|, or ResourceLimitError when it exceeds the enumeration limit."""
-    limit = env_max_order(DEFAULT_ENUM_LIMIT)
-    n = G.order()
-    if n > limit:
-        raise ResourceLimitError(f"group order {n} exceeds enumeration limit {limit}", limit)
-    return n
 
 
 def _conjugation_orbit(G: Group, x, index: dict, code: int) -> list:
@@ -686,52 +649,194 @@ def _positions(G: Group, found: Sequence[int]) -> tuple[int, ...]:
 
 
 def _compute_classes(G: Group) -> ConjugacyClassSet:
-    """G's classes: by cycle type when G is the full symmetric group on the
-    points it moves (``_symmetric_classes``), else from the class walk
-    (``_walk_classes``).  |G| is checked against the enumeration limit
-    first, either way."""
-    n = _checked_order(G)
-    points = _symmetric_on(G)
-    if points is not None:
-        return _symmetric_classes(G, points)
-    return _walk_classes(G, n)
-
-
-def _walk_classes(G: Group, n: int) -> ConjugacyClassSet:
-    """G's classes from the class walk, for any G of order n: each class's
-    representative is its least packed member (the lex-min element), and
-    its power column is read off the index."""
-    orbits, index = _walk(G, n)
-    classes = []
-    for orbit in orbits:
-        rep = _unpack(min(orbit))
-        classes.append(ConjugacyClass(rep, rep.order(), len(orbit), orbit))
-    keys = [(cl.order, cl.size, cl.rep.img) for cl in classes]
-    found = sorted(range(len(classes)), key=keys.__getitem__)
-    rank = [0] * len(found)
-    for i, c in enumerate(found):
-        rank[c] = i
-    position = _positions(G, rank)
-    # rep**(t + 1) = rep * rep**t is one packed product with rep's table
-    one, compose, pad = G._pack(range(G.degree)), G._compose, G._pad
-    columns = []
-    for c in found:
-        rep_table = G._pack(classes[c].rep.img) + pad
-        powers = accumulate(repeat(rep_table, classes[c].order - 1), compose, initial=one)
-        columns.append(tuple(map(position.__getitem__, map(index.__getitem__, powers))))
-    return ConjugacyClassSet(G, [classes[c] for c in found], columns, (index, position))
+    """G's classes from its construction, or ResourceLimitError when |G|
+    exceeds the enumeration limit."""
+    limit, n = env_max_order(DEFAULT_ENUM_LIMIT), G.order()
+    if n > limit:
+        raise ResourceLimitError(f"group order {n} exceeds enumeration limit {limit}", limit)
+    return (G._construction or _pick_construction(G)).classes(G, n)
 
 
 # ---------------------------------------------------------------------------
-# Symmetric groups by cycle type
+# Class-set constructions.  Each has classes(G, n), the class set of G of
+# order n; position(cs, x), the class of x of G's degree, or None when x is
+# not in G; centralizer(G, z); and conjugator(cs, a, b) for a, b in one class.
 
 
-def _symmetric_on(G: Group) -> frozenset[int] | None:
-    """The (0-based) points G's generators move, when G is the full
-    symmetric group on them: G lies in that group, so |G| = k! for the k
-    points makes them equal.  None for every other G."""
+def _pick_construction(G: Group) -> "_Walk | _Symmetric":
+    """G's construction, kept on G: the symmetric one when G is the full
+    symmetric group on the k points its generators move (G lies in it, so
+    |G| = k! makes them equal), else the walk."""
     points = frozenset(p for g in G.generators for p, q in enumerate(g.img) if p != q)
-    return points if G.order() == math.factorial(len(points)) else None
+    G._construction = _Symmetric(points) if G.order() == math.factorial(len(points)) else _Walk()
+    return G._construction
+
+
+class _Walk:
+    """The walk construction, for any group: classes by the class walk, and
+    centralizers and conjugators from the Schreier edges of its index."""
+
+    def classes(self, G, n):
+        """Each class's rep is its least packed member (the lex-min element),
+        and its power column is read off the index."""
+        orbits, index = _walk(G, n)
+        classes = []
+        for orbit in orbits:
+            rep = _unpack(min(orbit))
+            classes.append(ConjugacyClass(rep, rep.order(), len(orbit), orbit))
+        keys = [(cl.order, cl.size, cl.rep.img) for cl in classes]
+        found = sorted(range(len(classes)), key=keys.__getitem__)
+        rank = [0] * len(found)
+        for i, c in enumerate(found):
+            rank[c] = i
+        position = _positions(G, rank)
+        # rep**(t + 1) = rep * rep**t is one packed product with rep's table
+        one, compose, pad = G._pack(range(G.degree)), G._compose, G._pad
+        columns = []
+        for c in found:
+            rep_table = G._pack(classes[c].rep.img) + pad
+            powers = accumulate(repeat(rep_table, classes[c].order - 1), compose, initial=one)
+            columns.append(tuple(map(position.__getitem__, map(index.__getitem__, powers))))
+        cs = ConjugacyClassSet(G, [classes[c] for c in found], columns, self)
+        cs._walk = (index, position)
+        return cs
+
+    def position(self, cs, x):
+        index, position = cs._walk
+        i = index.get(cs.group._pack(x.img))
+        return None if i is None else position[i]
+
+    def centralizer(self, G, z):
+        """The stabilizer of z under conjugation, generated by the Schreier
+        generators of z's orbit: its class in the index when G's class set
+        exists, else a fresh orbit of z (no class set, so no enumeration
+        limit).  Each is conjugated by the t with t.conj(root) == z, so the
+        generators, though not the subgroup, depend on which orbit was read.
+        Only those the chain keeps are unpacked."""
+        compose, pad = G._compose, G._pad
+        x = G._pack(z.img)
+        cs = G._classes
+        if cs is None:
+            index: dict = {}
+            orbit = _conjugation_orbit(G, x, index, 0)
+        else:
+            index, orbit = cs._index, cs.classes[cs.position_of(z)].members
+        t, t_inv = _transversal(G, index, x)
+        t_table = t + pad
+        target = G.order() // len(orbit)
+
+        def schreier_generator(y, g_table, w):
+            # t * T(w)^-1 * g * T(y) * t^-1, composed right to left
+            s = compose(t_inv, _transversal(G, index, y)[0] + pad)
+            s = compose(compose(s, g_table), _transversal(G, index, w)[1] + pad)
+            return compose(s, t_table)
+
+        # (y, g_i) is an edge of the Schreier tree when g_i reached w = g_i.conj(y)
+        # from y, so that w's code is c; its Schreier generator is 1 and is skipped
+        edges = [(a, b, c) for c, (a, b) in enumerate(G._conj, index[orbit[0]] + 1)]
+        schreier = (
+            schreier_generator(y, b, w)
+            for y in orbit
+            for a, b, c in edges
+            if index[w := compose(compose(a, y + pad), b)] != c
+        )
+        gens: list[Permutation] = []
+        chain = StabilizerChain(gens, G.degree)
+        while chain.order() < target:
+            s = next(schreier)
+            if chain._extend(s):
+                gens.append(_unpack(s))
+        C = Group(G.degree, gens)
+        C._chain = chain
+        return C
+
+    def conjugator(self, cs, a, b):
+        """T(b) * T(a)^-1, T read off the index's transversals."""
+        G, index = cs.group, cs._index
+        t_b = _transversal(G, index, G._pack(b.img))[0]
+        t_a_inv = _transversal(G, index, G._pack(a.img))[1]
+        return _unpack(G._compose(t_a_inv, t_b + G._pad))
+
+
+class _Symmetric:
+    """The symmetric construction, for G the full symmetric group on the
+    (0-based) points its generators move: all by cycle type, with no walk."""
+
+    def __init__(self, points):
+        self.points = points
+        self.at: dict = {}  # cycle type -> class index, filled by classes
+
+    def classes(self, G, n):
+        """One class per partition lambda of k = |points|, of size k!/z_lambda
+        and order lcm(lambda) (James & Kerber, *The Representation Theory of
+        the Symmetric Group*, 1981, 1.2).
+
+        Its lex-min element maps each point, in ascending order, to the least
+        image its cycle type allows: a cycle closes as soon as it can, and
+        otherwise moves on to the next unused point.  So it fixes the first
+        points, then runs cycles of increasing length, each on consecutive
+        points.  An L-cycle to the power t splits into gcd(L, t) cycles of
+        length L/gcd(L, t), which gives the power columns.
+        """
+        ordered, by_type = sorted(self.points), {}
+        for lam in _partitions(len(ordered)):
+            starts = list(accumulate(reversed(lam), initial=0))
+            cycles = [ordered[a:b] for a, b in zip(starts, starts[1:])]
+            rep = _mapping(G.degree, (ab for cyc in cycles for ab in zip(cyc, cyc[1:] + cyc[:1])))
+            by_type[lam] = ConjugacyClass(rep, math.lcm(*lam), n // _centralizer_order(lam))
+        types = sorted(by_type, key=lambda lam: (by_type[lam].order, by_type[lam].size, by_type[lam].rep.img))
+        at = self.at = {lam: c for c, lam in enumerate(types)}
+
+        def power_type(lam, t):
+            parts = (L // g for L in lam for g in (math.gcd(L, t),) for _ in range(g))
+            return tuple(sorted(parts, reverse=True))
+
+        columns = [tuple(at[power_type(lam, t)] for t in range(by_type[lam].order)) for lam in types]
+        cs = ConjugacyClassSet(G, map(by_type.get, types), columns, self)
+        cs.symmetric_on, cs.cycle_types = self.points, tuple(types)
+        return cs
+
+    def position(self, cs, x):
+        cycles = x._cycles0()
+        if all(p in self.points for cyc in cycles for p in cyc):
+            return self.at[_cycle_type(cycles, len(self.points))]
+        return None
+
+    def centralizer(self, G, z):
+        """The product over cycle lengths L of C_L wr S_m, m the number of
+        z's L-cycles on the points (its fixed points there are the 1-cycles).
+        It is generated by each cycle, the swap of the first two L-cycles and
+        a cycle through all of them, point by point in each cycle's order.
+        Its order must be z_lambda = |G| / |class of z|, checked on its
+        chain."""
+        n = G.degree
+        by_length: dict[int, list] = {}
+        for cyc in z._cycles0(fixpoints=True):
+            if cyc[0] in self.points:
+                by_length.setdefault(len(cyc), []).append(cyc)
+        gens = []
+        for _, cycles in sorted(by_length.items()):
+            gens += [_mapping(n, zip(cyc, cyc[1:] + cyc[:1])) for cyc in cycles]  # Group drops 1-cycles
+            if len(cycles) > 1:
+                a, b = cycles[:2]
+                gens.append(_mapping(n, [*zip(a, b), *zip(b, a)]))
+                gens.append(_mapping(n, zip(chain(*cycles), chain(*cycles[1:], cycles[0]))))
+        C = Group(n, gens)
+        want = _centralizer_order([L for L, cycles in by_length.items() for _ in cycles])
+        if C.order() != want:
+            raise InvariantError(
+                f"centralizer of {z.cycle_string()} in {G!r}: order {C.order()}, "
+                f"but |G| / |class| = {want}"
+            )
+        return C
+
+    def conjugator(self, cs, a, b):
+        """The t mapping the cycles of a onto those of b, sorted by length,
+        point by point."""
+        a_cycles, b_cycles = (
+            sorted((c for c in x._cycles0(fixpoints=True) if c[0] in self.points), key=len) for x in (a, b)
+        )
+        return _mapping(cs.group.degree, zip(chain(*a_cycles), chain(*b_cycles)))
 
 
 def _partitions(k: int, largest: int | None = None):
@@ -757,70 +862,12 @@ def _centralizer_order(lam: Sequence[int]) -> int:
     return math.prod(L**m * math.factorial(m) for L, m in Counter(lam).items())
 
 
-def _symmetric_classes(G: Group, points: frozenset[int]) -> ConjugacyClassSet:
-    """The classes of G = Sym(points) by cycle type, with no walk over G:
-    one class per partition lambda of k = |points|, of size k!/z_lambda and
-    order lcm(lambda) (James & Kerber, *The Representation Theory of the
-    Symmetric Group*, 1981, 1.2).
-
-    Its lex-min element maps each point, in ascending order, to the least
-    image its cycle type allows: a cycle closes as soon as it can, and
-    otherwise moves on to the next unused point.  So it fixes the first
-    points, then runs cycles of increasing length, each on consecutive
-    points.  An L-cycle to the power t splits into gcd(L, t) cycles of
-    length L/gcd(L, t), which gives the power columns.
-    """
-    ordered, by_type = sorted(points), {}
-    for lam in _partitions(len(points)):
-        starts = list(accumulate(reversed(lam), initial=0))
-        cycles = [ordered[a:b] for a, b in zip(starts, starts[1:])]
-        rep = _mapping(G.degree, (ab for cyc in cycles for ab in zip(cyc, cyc[1:] + cyc[:1])))
-        by_type[lam] = ConjugacyClass(rep, math.lcm(*lam), G.order() // _centralizer_order(lam))
-    types = sorted(by_type, key=lambda lam: (by_type[lam].order, by_type[lam].size, by_type[lam].rep.img))
-    at = {lam: c for c, lam in enumerate(types)}
-
-    def power_type(lam, t):
-        return tuple(sorted((L // g for L in lam for g in (math.gcd(L, t),) for _ in range(g)), reverse=True))
-
-    columns = [tuple(at[power_type(lam, t)] for t in range(by_type[lam].order)) for lam in types]
-    return ConjugacyClassSet(G, map(by_type.get, types), columns, symmetric_on=points)
-
-
 def _mapping(degree: int, pairs: Iterable[tuple[int, int]]) -> Permutation:
     """The permutation taking a to b for each (a, b) in pairs, fixing the rest."""
     img = list(range(degree))
     for a, b in pairs:
         img[a] = b
     return Permutation._raw(tuple(img))
-
-
-def _symmetric_centralizer(G: Group, z: Permutation, points: frozenset[int]) -> Group:
-    """C_G(z) for G = Sym(points): the product over cycle lengths L of
-    C_L wr S_m, m the number of z's L-cycles on the points (its fixed points
-    there are the 1-cycles).  It is generated by each cycle, the swap of the
-    first two L-cycles and a cycle through all of them, point by point in
-    each cycle's order.  Its order must be z_lambda = |G| / |class of z|,
-    checked on its chain."""
-    n = G.degree
-    by_length: dict[int, list] = {}
-    for cyc in z._cycles0(fixpoints=True):
-        if cyc[0] in points:
-            by_length.setdefault(len(cyc), []).append(cyc)
-    gens = []
-    for _, cycles in sorted(by_length.items()):
-        gens += [_mapping(n, zip(cyc, cyc[1:] + cyc[:1])) for cyc in cycles]  # Group drops 1-cycles
-        if len(cycles) > 1:
-            a, b = cycles[:2]
-            gens.append(_mapping(n, [*zip(a, b), *zip(b, a)]))
-            gens.append(_mapping(n, zip(chain(*cycles), chain(*cycles[1:], cycles[0]))))
-    C = Group(n, gens, name=f"C_{G.name or 'G'}({z.cycle_string()})")
-    want = _centralizer_order([L for L, cycles in by_length.items() for _ in cycles])
-    if C.order() != want:
-        raise InvariantError(
-            f"centralizer of {z.cycle_string()} in {G!r}: order {C.order()}, "
-            f"but |G| / |class| = {want}"
-        )
-    return C
 
 
 def conjugacy_classes(G: Group) -> ConjugacyClassSet:
@@ -837,83 +884,22 @@ def _commutes(a: Permutation, b: Permutation) -> bool:
 
 
 def centralizer(G: Group, z: Permutation) -> Group:
-    """The subgroup of G commuting with z: the stabilizer of z under
-    conjugation, generated by the Schreier generators of z's orbit.
-
-    When G's class set exists, z's class and the Schreier edges in its index
-    are that orbit; otherwise it is built from z into a fresh index, with no
-    class set and so no enumeration limit.  The Schreier generators fix the
-    orbit's root, so each is conjugated by the t with t.conj(root) == z (the
-    identity when z is the root).  So the generators returned depend on
-    whether G's class set exists, though the subgroup does not.  They are
-    built packed, and only those the chain keeps are unpacked.
-
-    When G is the full symmetric group on the points it moves, the
-    generators come from z's cycles instead (``_symmetric_centralizer``),
-    with no orbit and no index.
-    """
+    """The subgroup of G commuting with z, from G's construction."""
     if z not in G:
         raise NotInGroupError("centralizer: element is not in the group")
-    points = _symmetric_on(G)
-    if points is not None:
-        return _symmetric_centralizer(G, z, points)
-    compose, pad = G._compose, G._pad
-    x = G._pack(z.img)
-    cs = G._classes
-    if cs is None:
-        index: dict = {}
-        orbit = _conjugation_orbit(G, x, index, 0)
-    else:
-        index, orbit = cs._index, cs.classes[cs.position_of(z)].members
-    t, t_inv = _transversal(G, index, x)
-    t_table = t + pad
-    target = G.order() // len(orbit)
-
-    def schreier_generator(y, g_table, w):
-        # t * T(w)^-1 * g * T(y) * t^-1, composed right to left
-        s = compose(t_inv, _transversal(G, index, y)[0] + pad)
-        s = compose(compose(s, g_table), _transversal(G, index, w)[1] + pad)
-        return compose(s, t_table)
-
-    # (y, g_i) is an edge of the Schreier tree when g_i reached w = g_i.conj(y)
-    # from y, so that w's code is c; its Schreier generator is 1 and is skipped
-    edges = [(a, b, c) for c, (a, b) in enumerate(G._conj, index[orbit[0]] + 1)]
-    schreier = (
-        schreier_generator(y, b, w)
-        for y in orbit
-        for a, b, c in edges
-        if index[w := compose(compose(a, y + pad), b)] != c
-    )
-    gens: list[Permutation] = []
-    chain = StabilizerChain(gens, G.degree)
-    while chain.order() < target:
-        s = next(schreier)
-        if chain._extend(s):
-            gens.append(_unpack(s))
-    name = f"C_{G.name or 'G'}({z.cycle_string()})"
-    C = Group(G.degree, gens, name=name)
-    C._chain = chain
+    C = (G._construction or _pick_construction(G)).centralizer(G, z)
+    C.name = f"C_{G.name or 'G'}({z.cycle_string()})"
     return C
 
 
 def conjugator(G: Group, a: Permutation, b: Permutation) -> Optional[Permutation]:
-    """Some t in G with t*a*t^-1 == b, or None if a, b are not conjugate:
-    read off the walk's transversals, or, when G is the full symmetric group
-    on the points it moves, the t mapping the cycles of a onto those of b,
-    sorted by length, point by point."""
+    """Some t in G with t*a*t^-1 == b, or None if a, b are not conjugate,
+    from the construction of G's class set."""
     cs = G.conjugacy_classes()
     i = cs.position_of(a)
     if cs.position_of(b) != i:
         return None
-    points = cs.symmetric_on
-    if points is not None:
-        a_cycles, b_cycles = (
-            sorted((c for c in x._cycles0(fixpoints=True) if c[0] in points), key=len) for x in (a, b)
-        )
-        return _mapping(G.degree, zip(chain(*a_cycles), chain(*b_cycles)))
-    t_b = _transversal(G, cs._index, G._pack(b.img))[0]
-    t_a_inv = _transversal(G, cs._index, G._pack(a.img))[1]
-    return _unpack(G._compose(t_a_inv, t_b + G._pad))  # T(b) * T(a)^-1
+    return cs.construction.conjugator(cs, a, b)
 
 
 def rational_classes(G: Group, d: int = 1) -> tuple[tuple[int, ...], ...]:

@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -724,6 +726,51 @@ def test_indicator_multiset_constant_on_rational_classes():
             reference = sorted(by_class[cell[0]])
             for c in cell[1:]:
                 assert sorted(by_class[c]) == reference, (spec, cell)
+
+
+# D(H x K) = D(H) (x) D(K): the simples of the product's double are the V (x) W,
+# with nu_m(V (x) W) = nu_m(V) nu_m(W) for every m
+PRODUCTS = ("S3xS4", "C3xQ8", "S3xC5", "C5xC5", "A5xC3", "S4xS4", "D4xC3")
+
+
+def _simples(spec):
+    """exp(G) and (eta degree, {m: nu_m}) per simple of D(G), over m | exp(G)."""
+    report = all_indicators(get_session(spec))
+    return report.exponent, [(s.eta_degree, {e.m: e.value for e in s.indicators}) for s in report.simples]
+
+
+def _nu_at(values, exp, m):
+    """nu_m for any m from the values at m | exp: with g = gcd(m, exp) and a
+    unit a mod exp with a g = m mod exp, nu_m = nu_(a g) = sigma_a(nu_g), as
+    nu has period exp in m and nu_(a m) = sigma_a(nu_m) for a prime to exp
+    (Kashina-Sommerhaeuser-Zhu, Mem. AMS 181, 2006)."""
+    g = math.gcd(m, exp)
+    a = next(a for a in itertools.count(m // g, exp // g) if math.gcd(a, exp) == 1)
+    return values[g].galois(a)
+
+
+def _product_multiset(h, k, ms):
+    (h_exp, h_simples), (k_exp, k_simples) = h, k
+    return Counter(
+        (dv * dw, tuple(_nu_at(v, h_exp, m) * _nu_at(w, k_exp, m) for m in ms))
+        for dv, v in h_simples
+        for dw, w in k_simples
+    )
+
+
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_product_indicators_are_the_factors_products(spec):
+    exp, simples = _simples(spec)
+    ms = divisors(exp)
+    got = Counter((d, tuple(values[m] for m in ms)) for d, values in simples)
+    h, k = map(_simples, spec.split("x"))
+    assert len(h[1]) * len(k[1]) == len(simples)
+    assert _product_multiset(h, k, ms) == got
+    # one factor value changed is caught: the last simple of H at m = exp(H)
+    values = dict(h[1][-1][1])
+    values[h[0]] += 1
+    mutated = (h[0], [*h[1][:-1], (h[1][-1][0], values)])
+    assert _product_multiset(mutated, k, ms) != got
 
 
 def test_gamma_adams_invariant_on_fsz_groups():

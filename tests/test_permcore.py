@@ -766,7 +766,7 @@ def _check_symmetric_against_walk(G):
     assert cs.symmetric_on is not None and cs._walk is None
     # the reference: the classes of the same group from the class walk
     W = Group(G.degree, G.generators)
-    W._classes = ref = permcore._walk_classes(W, W.order())
+    W._classes = ref = permcore._Walk().classes(W, W.order())
     assert [(c.rep, c.size, c.order) for c in cs] == [(c.rep, c.size, c.order) for c in ref]
     assert cs.power_columns == ref.power_columns
     for d in divisors(ref.exponent):
@@ -812,6 +812,26 @@ def test_symmetric_groups_never_walk_themselves(monkeypatch):
     assert len(Session(S9).classes) == 30
     assert fsz_test(S10).verdict
     assert S10._classes._walk is None
+
+
+def test_construction_is_picked_once_per_group(monkeypatch):
+    # S8's report needs a construction for 52 groups (S8, its centralizers and
+    # the groups chartab builds from them), for classes and centralizers alike;
+    # each group's is picked once, on first use, and kept on the group
+    picked = []
+    real = permcore._pick_construction
+
+    def counted(G):
+        picked.append(G)
+        return real(G)
+
+    monkeypatch.setattr(permcore, "_pick_construction", counted)
+    S8 = construct_group("S8")
+    all_indicators(Session(S8))
+    assert len(picked) == len({id(G) for G in picked}) == 52
+    assert isinstance(S8._construction, permcore._Symmetric)
+    assert all(G.conjugacy_classes().construction is G._construction for G in picked)
+    assert {type(G._construction) for G in picked} == {permcore._Symmetric, permcore._Walk}
 
 
 def test_symmetric_checks_raise_invariant_errors(monkeypatch):
