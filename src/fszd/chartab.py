@@ -15,7 +15,8 @@ Each route is picked by a structural test that holds exactly:
    1981, 2.4; ``_symmetric_rows``).
 4. Dixon-Schneider, for every other group.
 
-Every route shares each distinct value object among its rows.
+Every route shares each distinct value object among its rows, so the
+sort and the certificate work once per value object.
 
 Dixon-Schneider diagonalizes the class multiplication matrices
 simultaneously over GF(p), p the smallest prime = 1 mod exp(G) with
@@ -43,10 +44,9 @@ The multiplicity lift of a value is a function of its GF(p) column alone, so
 each distinct column is lifted and checked once per table; a Galois
 conjugate of a character repeats that character's columns at other classes.
 
-A group whose generators have r >= 2 nontrivial orbits O_1..O_r, with |G|
-the product of the orders of the groups G_i they induce on the orbits, is
-the direct product of the G_i: restriction to the orbits is injective, and
-equal orders make it onto.  Its classes are the tuples of classes of the
+Under route 1, G is the direct product of the groups G_i its generators
+induce on their orbits O_1..O_r: restriction to the orbits is injective,
+and equal orders make it onto.  Its classes are the tuples of classes of the
 G_i and its irreducibles the products chi_1 x ... x chi_r (Isaacs,
 *Character Theory of Finite Groups*, Thm 4.21), so its table is read off
 the factors' tables; the class map must be a size- and order-preserving
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import attrgetter, mul
 from typing import Sequence
@@ -95,8 +95,10 @@ class ClassFunction:
     __slots__ = ("classes", "values", "_ints")
 
     def __init__(self, classes: ConjugacyClassSet, values: Sequence):
+        known: dict = {}  # each distinct int or Fraction converted once
         vals = tuple(
-            v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in values
+            v if isinstance(v, Cyclotomic) else known.get(v) or known.setdefault(v, Cyclotomic.rational(v))
+            for v in values
         )
         if len(vals) != len(classes):
             raise ValueError("one value per conjugacy class required")
@@ -183,9 +185,8 @@ def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
     Rational products add up as plain ints.  A product with an irrational
     factor is a sum of powers of zeta_L, L the lcm of the conductors, and
     conj(zeta^j) = zeta^-j; its terms go unreduced into one exponent buffer
-    per L.  The buffers and the rational part are lifted into one at the lcm
-    of their conductors, reduced once modulo the cyclotomic polynomial and
-    put in canonical form over den.
+    per L.  The buffers and the rational part are lifted to the lcm of their
+    conductors, reduced once and put in canonical form over den.
     """
     sign = -1 if conj else 1
     rat = 0
@@ -239,11 +240,10 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
 def class_sum(f: ClassFunction, weights: dict[int, int], den: int = 1) -> Cyclotomic:
     """(1/den) * sum of w * f(c) over the (class index c, int w) items of
     weights, exact, on the integer form of f: a plain int sum when f is
-    rational.  Else an irrational form is already the reduced power-basis
-    numerators at its conductor, so terms of one conductor add coefficient
-    by coefficient into one buffer and rational terms into coefficient 0;
-    buffers of different conductors are lifted to their lcm and summed, and
-    one ``_canonical`` ends the sum."""
+    rational.  Else, as an irrational form is already reduced, terms add
+    numerator by numerator into one buffer per conductor, rational terms
+    into coefficient 0; the buffers are lifted to the lcm of their
+    conductors and summed, and one ``_canonical`` ends the sum."""
     d, forms, rational = f._integer_form()
     if rational:
         total = sum(map(mul, weights.values(), map(forms.__getitem__, weights)))
@@ -558,11 +558,9 @@ def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]],
 
 def character_table(G: Group) -> CharacterTable:
     """Exact character table of G (cached on the group object), by the first
-    route that applies: the product of its orbit factors' tables when G is
-    their direct product (``_orbit_factors``), powers of a root of unity
-    when a class has order |G| (``_cyclic_rows``), Murnaghan-Nakayama when
-    |G| = k! for the k points G moves (``_symmetric_rows``), else
-    Dixon-Schneider; self-checked whichever route ran."""
+    of the module's four routes that applies (``_orbit_factors``,
+    ``_cyclic_rows``, ``_symmetric_rows``, ``_dixon_schneider_rows``), and
+    self-checked whichever route ran."""
     if G._chartab is not None:
         return G._chartab
     cs = G.conjugacy_classes()
@@ -577,16 +575,28 @@ def character_table(G: Group) -> CharacterTable:
         rows = _symmetric_rows(cs, len(cs.symmetric_on))
     else:
         rows = _dixon_schneider_rows(G, cs)
-    rows.sort(key=_row_key)
+    rows.sort(key=partial(_row_key, keys={i: v.sort_key() for i, v in _value_objects(rows).items()}))
     table = CharacterTable(G, cs, rows)
     _quick_check(table)
     G._chartab = table
     return table
 
 
-def _row_key(cf: ClassFunction):
-    """Rows sort by degree, then by their values' sort keys."""
-    return cf.degree().as_integer(), [v.sort_key() for v in cf.values]
+def _row_key(cf: ClassFunction, keys: dict | None = None):
+    """Rows sort by degree, then by their values' sort keys; keys, if given,
+    holds them by the id of each value object."""
+    if keys is None:
+        keys = {id(v): v.sort_key() for v in cf.values}
+    return cf.degree().as_integer(), list(map(keys.__getitem__, map(id, cf.values)))
+
+
+def _value_objects(rows: Sequence[ClassFunction]) -> dict:
+    """Each distinct value object of the rows by id, in order of first
+    appearance (tables share value objects, so they are few)."""
+    objects: dict = {}
+    for row in rows:
+        objects.update(zip(map(id, row.values), row.values))
+    return objects
 
 
 def _cyclic_rows(cs: ConjugacyClassSet, c: int) -> list[ClassFunction]:
@@ -720,12 +730,13 @@ def _product_rows(G: Group, cs: ConjugacyClassSet, factors) -> list[ClassFunctio
                 img[p] = orbit[q]
         if cs.position_of(Permutation._raw(tuple(img))) != c:
             raise TableComputationError(f"product class position mismatch ({where}, class {c})")
-    products: dict[tuple[Cyclotomic, Cyclotomic], Cyclotomic] = {}
+    # by the factors' ids: table values or products, kept alive by the tables and this dict
+    products: dict[tuple[int, int], Cyclotomic] = {}
 
     def times(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-        v = products.get((a, b))
+        v = products.get((id(a), id(b)))
         if v is None:
-            v = products[a, b] = a * b
+            v = products[id(a), id(b)] = a * b
         return v
 
     rows = []
@@ -908,28 +919,27 @@ def _row_certificate(table: CharacterTable) -> None:
     G, cs = table.group, table.classes
     e, n, k = cs.exponent, G.order(), len(cs)
     fail = f"row orthogonality check failed for {G!r}:"
-    # step 1; with den 1 the integer forms are the values' own numerators,
-    # so they key the distinct values, and each row is coded as value ids
-    rows = []
-    value_of: dict = {}
-    for i, chi in enumerate(table.irreducibles):
-        d, forms, _ = chi._integer_form()
-        if d != 1:
+    # step 1, once per distinct value object, in order of first appearance;
+    # equal values share a code, and each row is coded as value codes
+    irr = table.irreducibles
+    rep_id: dict = {}  # each distinct value -> its code
+    code: dict = {}  # id of a value object -> its value's code
+    for key, v in _value_objects(irr).items():
+        if v.den != 1:  # the first fraction, so in the first row holding one
+            i = next(i for i, chi in enumerate(irr) if v in chi.values)
+            d = math.lcm(*(w.den for w in irr[i].values))
             raise TableComputationError(f"{fail} character {i} has a value with denominator {d}")
-        rows.append(forms)
-        value_of.update(zip(forms, chi.values))
-    reps = list(value_of.values())
+        code[key] = rep_id.setdefault(v, len(rep_id))
+    reps = list(rep_id)
     for v in reps:
         if e % v.conductor:
             raise TableComputationError(f"{fail} value {v!r} is not in Q(zeta_{e})")
-    ids = {form: x for x, form in enumerate(value_of)}
-    coded = [tuple(map(ids.__getitem__, forms)) for forms in rows]
+    coded = [tuple(map(code.__getitem__, map(id, chi.values))) for chi in irr]
 
     # step 2
     index = {row: i for i, row in enumerate(coded)}
     if len(index) != k:
         raise TableComputationError(f"{fail} two rows are equal")
-    rep_id = {v: x for x, v in enumerate(reps)}
     for r in (-1, *(r for r in _unit_generators(e) if r != e - 1)):
         image = [rep_id.get(v.galois(r)) for v in reps]
         perm = [index.get(tuple(map(image.__getitem__, row))) for row in coded]

@@ -525,27 +525,30 @@ class IndicatorReport:
         """``json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)``,
         byte for byte, filled into fixed templates without building the dict
         (an indent sends ``json`` to its pure-Python encoder).  Each distinct
-        entry object is encoded once."""
-        classes = [
-            _CLASS % (c["index"], _str(c["rep"]), c["size"], c["order"]) for c in self.classes
-        ]
+        entry object is encoded once, and the text is one join of pieces,
+        the entries' texts among them."""
         texts: dict[int, str] = {}  # id of an entry -> its text
-        simples = []
-        for s in self.simples:
-            items = []
-            for e in s.indicators:
-                text = texts.get(id(e))
-                if text is None:
-                    text = texts[id(e)] = _entry_json(e)
-                items.append(text)
-            simples.append(_SIMPLE % (s.g_class, s.eta_index, s.eta_degree, _array(items, " " * 8)))
-        return _REPORT % (
-            _str(self.group),
-            self.order,
-            self.exponent,
-            _array(classes, " " * 4),
-            _array(simples, " " * 4),
-        )
+        out = [_REPORT[0] % (_str(self.group), self.order, self.exponent)]
+
+        def entry(e: IndicatorEntry) -> None:
+            text = texts.get(id(e))
+            if text is None:
+                text = texts[id(e)] = _entry_json(e)
+            out.append(text)
+
+        def simple(s: SimpleIndicators) -> None:
+            out.append(_SIMPLE[0] % (s.g_class, s.eta_index, s.eta_degree))
+            _array_into(out, s.indicators, " " * 8, entry)
+            out.append(_SIMPLE[1])
+
+        def one_class(c: dict) -> None:
+            out.append(_CLASS % (c["index"], _str(c["rep"]), c["size"], c["order"]))
+
+        _array_into(out, self.classes, " " * 4, one_class)
+        out.append(_REPORT[1])
+        _array_into(out, self.simples, " " * 4, simple)
+        out.append(_REPORT[2])
+        return "".join(out)
 
     def to_csv(self) -> str:
         """One row per (simple, entry): each simple's leading cells and each
@@ -573,16 +576,19 @@ class IndicatorReport:
 
 
 # the layout json.dumps(indent=2) gives a report, one template line per output
-# line; _array adds the brackets and item indents of each list but coeffs,
-# which is never empty
+# line; _array and _array_into add the brackets and item indents of each
+# list but coeffs, which is never empty.  _REPORT and _SIMPLE are the texts
+# around their arrays.
 _REPORT = (
     '{\n'
     '  "group": %s,\n'
     '  "order": %d,\n'
     '  "exponent": %d,\n'
-    '  "classes": %s,\n'
-    '  "simples": %s\n'
-    '}'
+    '  "classes": ',
+    ',\n'
+    '  "simples": ',
+    '\n'
+    '}',
 )
 _CLASS = (
     '{\n'
@@ -597,8 +603,9 @@ _SIMPLE = (
     '      "g_class": %d,\n'
     '      "eta_index": %d,\n'
     '      "eta_degree": %d,\n'
-    '      "indicators": %s\n'
-    '    }'
+    '      "indicators": ',
+    '\n'
+    '    }',
 )
 _ENTRY = (
     '{\n'
@@ -627,6 +634,17 @@ def _array(items: list[str], indent: str) -> str:
     if not items:
         return "[]"
     return "[\n" + indent + (",\n" + indent).join(items) + "\n" + indent[:-2] + "]"
+
+
+def _array_into(out: list[str], items: Iterable, indent: str, put: Callable) -> None:
+    """Append to out the pieces of ``_array``'s text, ``put(item)`` appending
+    those of each item."""
+    sep = "[\n" + indent
+    for item in items:
+        out.append(sep)
+        put(item)
+        sep = ",\n" + indent
+    out.append("[]" if sep[0] == "[" else "\n" + indent[:-2] + "]")
 
 
 def _entry_json(e: IndicatorEntry) -> str:

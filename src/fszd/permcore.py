@@ -4,8 +4,8 @@ Groups act on the points {1..n}; internally images are stored 0-based.
 Composition is right-to-left: ``(a * b)(i) = a(b(i))``, and conjugation is
 ``t.conj(x) = t * x * t^-1``.
 
-Order and membership go through a deterministic Schreier-Sims stabilizer
-chain, so they never require full enumeration.  Each group has one
+Order and membership go through a deterministic incremental Schreier-Sims
+stabilizer chain, so they never require full enumeration.  Each group has one
 class-set construction (``_pick_construction``): the class walk (``_Walk``)
 for any group, or cycle types (``_Symmetric``) for the full symmetric group
 on the points it moves.  It builds the conjugacy classes, up to a bound on
@@ -18,38 +18,29 @@ walk's transversals; under another construction the walk runs on the first
 call that needs it.  Each class has a power column (the classes of rep**t,
 t < o(rep)) that answers every power question.
 
-The element-level loops (the stabilizer chain, the class walk, conjugation
-orbits, centralizers' Schreier generators, power columns, class products) run
-on packed images instead of ``Permutation`` objects.
-Up to 256 points an element is ``bytes(img)``: ``t * x`` is
-``x.translate(t + pad)``, where ``pad`` extends t's image by the identity to
-all 256 byte values, so the product runs in C and the packed element hashes
-once and sorts in the order of its image tuple.  Above 256 points, where a
-byte cannot hold a point, an element is its image tuple and ``t * x`` is
-``tuple(map(t.__getitem__, x))`` with an empty ``pad``.  The degree alone
-picks the packing (``_packing``); ``Permutation`` objects are made only at
-the boundary: class representatives, centralizer generators, conjugators,
-``Group.elements()`` and the arguments and residues of the chain's
-``extend``, ``strip`` and ``contains``.
+The element-level loops run on packed images, not ``Permutation`` objects.
+Up to 256 points an element is ``bytes(img)`` and ``t * x`` is
+``x.translate(t + pad)``, ``pad`` extending t's image by the identity to all
+256 byte values: the product runs in C, and the packed element hashes once
+and sorts as its image tuple.  Above 256 points an element is its image
+tuple and ``t * x`` is ``tuple(map(t.__getitem__, x))`` with an empty
+``pad``; the degree alone picks the packing (``_packing``).  ``Permutation``
+objects are made only at the boundary: class representatives, centralizer
+generators, conjugators, ``Group.elements()`` and the arguments and residues
+of the chain's ``extend``, ``strip`` and ``contains``.
 """
 from __future__ import annotations
 
 import math
 import os
 import re
-from collections import Counter, deque
-from itertools import accumulate, chain, repeat
+from collections import Counter
+from itertools import accumulate, chain, combinations, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    BadDivisorError,
-    ConfigError,
-    DegreeLimitError,
-    InvariantError,
-    NotInGroupError,
-    ResourceLimitError,
-    SpecParseError,
-)
+from ._nt import divisors
+from .errors import BadDivisorError, ConfigError, DegreeLimitError, InvariantError, NotInGroupError
+from .errors import ResourceLimitError, SpecParseError
 
 DEFAULT_MAX_DEGREE = 64
 DEFAULT_ENUM_LIMIT = 10_000_000
@@ -202,28 +193,36 @@ def element_power_order(p: Permutation, k: int) -> tuple[Permutation, int]:
 
 
 class _Level:
-    __slots__ = ("point", "new_gens", "orbit")
+    __slots__ = ("point", "gens", "verified", "orbit")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, identity: tuple):
         self.point = point
-        # generators first installed at this level (they fix all earlier base
-        # points and move this one), as padded tables (g, g^-1); the effective
-        # generating set of the level is the union over this and all deeper levels
-        self.new_gens: list[tuple] = []
+        # the strong generators fixing the earlier base points, as padded
+        # tables (g, g^-1), and per generator the number of orbit points, in
+        # orbit order, whose Schreier generator with it sifts to 1
+        self.gens: list[tuple] = []
+        self.verified: list[int] = []
         # orbit point p -> (u, u^-1) with u(point) = p: u packed, u^-1 a padded table
-        self.orbit: dict[int, tuple] = {}
+        self.orbit: dict[int, tuple] = {point: identity}
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims chain (bottom-up verification, no randomness).
+    """Deterministic incremental Schreier-Sims chain, verified bottom-up with
+    no randomness (Seress, *Permutation Group Algorithms*, 2003, 4.2).
 
-    The chain runs on packed elements (see ``_packing``): each strong
-    generator is kept with its inverse as padded tables, each transversal
-    element packed with its inverse as a padded table, so every product in
-    ``_strip``, ``_rebuild_orbit`` and ``_verify_level`` is one ``compose``
-    and the identity test is ``== one``.  A strong generator's inverse is
-    read off its image once, when it is installed; a transversal inverse is
-    the product of stored inverses, (g * u)^-1 = u^-1 * g^-1.
+    Strong generators and their inverses are padded tables, transversal
+    elements are packed with padded-table inverses, so each product is one
+    ``compose``; a transversal inverse is a product of stored inverses,
+    (g * u)^-1 = u^-1 * g^-1.
+
+    A new strong generator at level j extends the orbits of levels <= j,
+    keeping their entries: it maps the old points, closed under the old
+    generators, then all the level's generators map the points found.  Each
+    level counts, per generator, the orbit points whose Schreier generator
+    sifted to 1, so each pair is sifted once.  That is sound, as orbits keep
+    their entries: a Schreier generator u_{g(p)}^-1 * g * u_p never changes
+    once formed, and a sift that reached 1 through the deeper levels still
+    does after they grow.
     """
 
     def __init__(self, generators: Sequence[Permutation], degree: int):
@@ -270,60 +269,53 @@ class StabilizerChain:
             out *= len(level.orbit)
         return out
 
-    def _gens_at(self, i: int) -> list[tuple]:
-        """All strong generators fixing the first i base points, as (g, g^-1) tables."""
-        return [g for level in self.levels[i:] for g in level.new_gens]
-
-    def _rebuild_orbit(self, i: int) -> None:
-        level = self.levels[i]
-        gens = self._gens_at(i)
-        compose, one = self._compose, self._one
-        orbit = {level.point: (one, one + self._pad)}
-        queue = deque([level.point])
-        while queue:
-            p = queue.popleft()
-            u, u_inv = orbit[p]
-            for g, g_inv in gens:
-                q = g[p]
-                if q not in orbit:
-                    # g * u, and its inverse u^-1 * g^-1 as a padded table
-                    orbit[q] = (compose(u, g), compose(g_inv, u_inv))
-                    queue.append(q)
-        level.orbit = orbit
-
     def _add_at(self, residue, j: int) -> None:
         if j == len(self.levels):
             base = min(p for p in range(self.degree) if residue[p] != p)
-            self.levels.append(_Level(base))
+            self.levels.append(_Level(base, (self._one, self._one + self._pad)))
         # sorting the points by their images puts i at position residue[i]
         inverse = self._pack(sorted(range(self.degree), key=residue.__getitem__))
-        self.levels[j].new_gens.append((residue + self._pad, inverse + self._pad))
-        # the new generator belongs to every level <= j, so refresh their orbits
-        for i in range(j, -1, -1):
-            self._rebuild_orbit(i)
+        new = (residue + self._pad, inverse + self._pad)
+        compose = self._compose
+        # the new generator belongs to every level <= j, so extend their orbits
+        for level in self.levels[: j + 1]:
+            level.gens.append(new)
+            level.verified.append(0)
+            orbit, found = level.orbit, []
+            for gens, points in (([new], list(orbit)), (level.gens, found)):
+                for p in points:  # found grows as it is read
+                    u, u_inv = orbit[p]
+                    for g, g_inv in gens:
+                        q = g[p]
+                        if q not in orbit:
+                            # g * u, and its inverse u^-1 * g^-1 as a padded table
+                            orbit[q] = (compose(u, g), compose(g_inv, u_inv))
+                            found.append(q)
 
     def _verify_level(self, i: int) -> int | None:
-        """Check all Schreier generators of level i; on a failure, install the
-        stripped residue at the level where sifting stopped and return it."""
-        orbit = self.levels[i].orbit
-        gens = [g for g, _ in self._gens_at(i)]
+        """Sift the Schreier generators of level i not yet sifted; on a
+        failure, install the stripped residue at the level where sifting
+        stopped and return it."""
+        level = self.levels[i]
+        orbit, verified = level.orbit, level.verified
+        points = list(orbit)
         compose, one = self._compose, self._one
-        for p in sorted(orbit):
-            u = orbit[p][0]
-            for g in gens:
-                s = compose(compose(u, g), orbit[g[p]][1])  # u_{g(p)}^-1 * g * u
-                if s == one:
-                    continue
-                residue, j = self._strip(s, i + 1)
-                if residue == one:
-                    continue
-                self._add_at(residue, j)
-                return j
+        for k, (g, _) in enumerate(level.gens):
+            for x in range(verified[k], len(points)):
+                p = points[x]
+                s = compose(compose(orbit[p][0], g), orbit[g[p]][1])  # u_{g(p)}^-1 * g * u
+                if s != one:
+                    residue, j = self._strip(s, i + 1)
+                    if residue != one:
+                        verified[k] = x
+                        self._add_at(residue, j)
+                        return j
+            verified[k] = len(points)
         return None
 
     def _verify_all(self, i: int) -> None:
-        # Levels deeper than i are verified already; any addition at level j
-        # restarts verification there, since transversals changed.
+        # Levels deeper than i are verified already; an addition at level j
+        # gives levels <= j new pairs, so verification resumes there.
         while i >= 0:
             j = self._verify_level(i)
             i = i - 1 if j is None else j
@@ -359,12 +351,7 @@ def _unpack(x) -> Permutation:
 class Group:
     """A finite permutation group given by generators on {1..degree}."""
 
-    def __init__(
-        self,
-        degree: int,
-        generators: Iterable[Permutation] = (),
-        name: str | None = None,
-    ):
+    def __init__(self, degree: int, generators: Iterable[Permutation] = (), name: str | None = None):
         gens: list[Permutation] = []
         seen: set[Permutation] = set()
         for g in generators:
@@ -431,12 +418,11 @@ class Group:
 class ConjugacyClass:
     """A conjugacy class.
 
-    ``members`` lists its packed elements (``bytes`` images up to 256
-    points, image tuples above) breadth first from its root, the element
-    where the class walk found it, which need not be rep.  The Schreier edge
-    that reached each member is kept in the class set's index, not here.
-    Under a construction other than the walk, ``members`` runs the walk on
-    first access (see ``ConjugacyClassSet``).  ``elements`` unpacks the
+    ``members`` lists its packed elements breadth first from its root, the
+    element where the class walk found it, which need not be rep.  The
+    Schreier edge that reached each member is kept in the class set's
+    index, not here.  Under a construction other than the walk, ``members``
+    runs the walk on first access (see ``ConjugacyClassSet``).  ``elements`` unpacks the
     members into a frozenset of ``Permutation``s on each access.
     """
 
@@ -479,9 +465,8 @@ class ConjugacyClassSet:
     Representatives are the lexicographically smallest element of each class;
     classes are sorted by (element order, class size, representative).
 
-    ``power_columns[i]`` holds the class index of rep**t for t < o(rep); power
-    maps, inverse, root and rational classes and the character-table lift
-    all read it.
+    ``power_columns[i]`` holds the class index of rep**t for t < o(rep);
+    every power question reads it.
 
     The class walk (``_walk``) leaves an index of G's packed elements, and
     the class index of packed x is position[index[x]] (``_walked``).  The
@@ -493,15 +478,8 @@ class ConjugacyClassSet:
     """
 
     __slots__ = (
-        "group",
-        "classes",
-        "power_columns",
-        "exponent",
-        "construction",
-        "symmetric_on",
-        "cycle_types",
-        "_walk",
-        "_cmc_rows",
+        "group", "classes", "power_columns", "exponent", "construction",
+        "symmetric_on", "cycle_types", "_walk", "_cmc_rows",
     )
 
     def __init__(self, group: Group, classes: Iterable, power_columns: Iterable, construction):
@@ -572,14 +550,17 @@ class ConjugacyClassSet:
         return list(map(position.__getitem__, map(index.__getitem__, products)))
 
 
-def _conjugation_orbit(G: Group, x, index: dict, code: int) -> list:
+def _conjugation_orbit(G: Group, x, index: dict, code: int, central: bool = False) -> list:
     """The class of packed x, breadth first from its root x.  Each member
     enters index: x as code, a multiple of len(G.generators) + 1, and every
-    other as code + 1 + i, i the generator that first reached it."""
-    compose, pad = G._compose, G._pad
-    edges = [(a, b, c) for c, (a, b) in enumerate(G._conj, code + 1)]
+    other as code + 1 + i, i the generator that first reached it; just x
+    when the caller knows x is central."""
     index[x] = code
     members = [x]
+    if central:
+        return members
+    compose, pad = G._compose, G._pad
+    edges = [(a, b, c) for c, (a, b) in enumerate(G._conj, code + 1)]
     push = members.append
     for y in members:
         y_table = y + pad
@@ -618,11 +599,14 @@ def _walk(G: Group, n: int) -> tuple[list[list], dict]:
     conjugation, and it contains 1.  While S != G some g * y leaves S, since
     the Cayley graph of G on its generators is connected; so the walk covers
     G, and it stops as soon as it has, at n = |G| elements.  The k-th orbit
-    has root code width * k in the index.
+    has root code width * k in the index.  Every class is a singleton when
+    G's generators commute, tested once here.
     """
     compose = G._compose
     width = len(G._conj) + 1
     tables = [g_table for _, g_table in G._conj]
+    pairs = combinations([(g, t) for (g, _), t in zip(G._inverse_conj, tables)], 2)
+    abelian = all(compose(a, tb) == compose(b, ta) for (a, ta), (b, tb) in pairs)
     orbits: list[list] = []
     index: dict = {}  # packed element -> width * (its class's place in orbits) + edge
     # the products g * y leaving the covered set; it reads orbits and index as they grow
@@ -631,7 +615,7 @@ def _walk(G: Group, n: int) -> tuple[list[list], dict]:
     )
     x = G._pack(range(G.degree))
     while True:
-        orbits.append(_conjugation_orbit(G, x, index, width * len(orbits)))
+        orbits.append(_conjugation_orbit(G, x, index, width * len(orbits), abelian))
         if len(index) == n:
             return orbits, index
         x = next(misses, None)
@@ -644,8 +628,7 @@ def _walk(G: Group, n: int) -> tuple[list[list], dict]:
 def _positions(G: Group, found: Sequence[int]) -> tuple[int, ...]:
     """The position list of the walk's index, indexed by code: the class
     index found[k] of the k-th orbit, for each of its width codes."""
-    width = len(G._conj) + 1
-    return tuple(c for c in found for _ in range(width))
+    return tuple(chain.from_iterable(map(repeat, found, repeat(len(G._conj) + 1, len(found)))))
 
 
 def _compute_classes(G: Group) -> ConjugacyClassSet:
@@ -677,27 +660,25 @@ class _Walk:
     centralizers and conjugators from the Schreier edges of its index."""
 
     def classes(self, G, n):
-        """Each class's rep is its least packed member (the lex-min element),
-        and its power column is read off the index."""
+        """Each class's rep is its least packed member (the lex-min element).
+        Its powers, read until they return to 1, give its order (their
+        number) and, through the index, its power column."""
         orbits, index = _walk(G, n)
-        classes = []
-        for orbit in orbits:
-            rep = _unpack(min(orbit))
-            classes.append(ConjugacyClass(rep, rep.order(), len(orbit), orbit))
-        keys = [(cl.order, cl.size, cl.rep.img) for cl in classes]
-        found = sorted(range(len(classes)), key=keys.__getitem__)
-        rank = [0] * len(found)
-        for i, c in enumerate(found):
-            rank[c] = i
-        position = _positions(G, rank)
-        # rep**(t + 1) = rep * rep**t is one packed product with rep's table
         one, compose, pad = G._pack(range(G.degree)), G._compose, G._pad
-        columns = []
-        for c in found:
-            rep_table = G._pack(classes[c].rep.img) + pad
-            powers = accumulate(repeat(rep_table, classes[c].order - 1), compose, initial=one)
-            columns.append(tuple(map(position.__getitem__, map(index.__getitem__, powers))))
-        cs = ConjugacyClassSet(G, [classes[c] for c in found], columns, self)
+        keys, codes = [], []
+        for orbit in orbits:
+            rep = x = min(orbit)
+            rep_table, column = rep + pad, [index[one]]
+            while x != one:
+                column.append(index[x])
+                x = compose(x, rep_table)  # rep * rep**t
+            codes.append(column)
+            # (order, size, rep): packed elements sort as their image tuples
+            keys.append((len(column), len(orbit), rep))
+        found = sorted(range(len(orbits)), key=keys.__getitem__)
+        position = _positions(G, sorted(range(len(found)), key=found.__getitem__))
+        classes = [ConjugacyClass(_unpack(keys[c][2]), keys[c][0], keys[c][1], orbits[c]) for c in found]
+        cs = ConjugacyClassSet(G, classes, [tuple(map(position.__getitem__, codes[c])) for c in found], self)
         cs._walk = (index, position)
         return cs
 
@@ -776,7 +757,8 @@ class _Symmetric:
         otherwise moves on to the next unused point.  So it fixes the first
         points, then runs cycles of increasing length, each on consecutive
         points.  An L-cycle to the power t splits into gcd(L, t) cycles of
-        length L/gcd(L, t), which gives the power columns.
+        length L/gcd(L, t), which gives the power columns; as every L divides
+        o = o(rep), rep**t has the type of rep**gcd(t, o).
         """
         ordered, by_type = sorted(self.points), {}
         for lam in _partitions(len(ordered)):
@@ -787,11 +769,15 @@ class _Symmetric:
         types = sorted(by_type, key=lambda lam: (by_type[lam].order, by_type[lam].size, by_type[lam].rep.img))
         at = self.at = {lam: c for c, lam in enumerate(types)}
 
-        def power_type(lam, t):
+        def power_class(lam, t):
             parts = (L // g for L in lam for g in (math.gcd(L, t),) for _ in range(g))
-            return tuple(sorted(parts, reverse=True))
+            return at[tuple(sorted(parts, reverse=True))]
 
-        columns = [tuple(at[power_type(lam, t)] for t in range(by_type[lam].order)) for lam in types]
+        columns = []
+        for lam in types:
+            o = by_type[lam].order
+            by_gcd = {g: power_class(lam, g) for g in divisors(o)}
+            columns.append(tuple(by_gcd[math.gcd(t, o)] for t in range(o)))
         cs = ConjugacyClassSet(G, map(by_type.get, types), columns, self)
         cs.symmetric_on, cs.cycle_types = self.points, tuple(types)
         return cs

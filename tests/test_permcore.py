@@ -221,13 +221,14 @@ def test_stabilizer_chain_extend():
 
 
 class _ReferenceChain:
-    """The Permutation-based Schreier-Sims chain the packed one replaced, kept
-    as a test reference: same base points, strong generators, orbit order and
-    transversals, with every product a ``Permutation.__mul__``."""
+    """The incremental Schreier-Sims chain on ``Permutation``s, kept as a test
+    reference for the packed one: same base points, strong generators, orbit
+    order and transversals, with every product a ``Permutation.__mul__``."""
 
     def __init__(self, generators, degree):
         self.degree = degree
-        self.levels = []  # [point, new_gens, orbit: point -> (u, u^-1)]
+        # [point, gens, verified, orbit: point -> (u, u^-1)]
+        self.levels = []
         for g in generators:
             self.extend(g)
 
@@ -241,7 +242,7 @@ class _ReferenceChain:
 
     def strip(self, g, start=0):
         i = start
-        for point, _, orbit in self.levels[start:]:
+        for point, _, _, orbit in self.levels[start:]:
             entry = orbit.get(g.img[point])
             if entry is None:
                 return g, i
@@ -249,45 +250,38 @@ class _ReferenceChain:
             i += 1
         return g, i
 
-    def _gens_at(self, i):
-        return [g for _, new_gens, _ in self.levels[i:] for g in new_gens]
-
-    def _rebuild_orbit(self, i):
-        point, gens = self.levels[i][0], self._gens_at(i)
-        ident = Permutation.identity(self.degree)
-        orbit = {point: (ident, ident)}
-        queue = [point]
-        for p in queue:
-            u = orbit[p][0]
-            for g in gens:
-                q = g.img[p]
-                if q not in orbit:
-                    t = g * u
-                    orbit[q] = (t, t.inverse())
-                    queue.append(q)
-        self.levels[i][2] = orbit
-
     def _add_at(self, residue, j):
         if j == len(self.levels):
             base = min(p for p in range(self.degree) if residue.img[p] != p)
-            self.levels.append([base, [], {}])
-        self.levels[j][1].append(residue)
-        for i in range(j, -1, -1):
-            self._rebuild_orbit(i)
+            ident = Permutation.identity(self.degree)
+            self.levels.append([base, [], [], {base: (ident, ident)}])
+        for _, gens, verified, orbit in self.levels[: j + 1]:
+            gens.append(residue)
+            verified.append(0)
+            # old points under the new generator, then new points under all
+            found = []
+            for g, points in (([residue], list(orbit)), (gens, found)):
+                for p in points:
+                    for gen in g:
+                        q = gen.img[p]
+                        if q not in orbit:
+                            t = gen * orbit[p][0]
+                            orbit[q] = (t, t.inverse())
+                            found.append(q)
 
     def _verify_level(self, i):
-        orbit = self.levels[i][2]
-        for p in sorted(orbit):
-            u = orbit[p][0]
-            for gen in self._gens_at(i):
-                s = orbit[gen.img[p]][1] * (gen * u)
-                if s.is_identity():
-                    continue
+        _, gens, verified, orbit = self.levels[i]
+        points = list(orbit)
+        for k, gen in enumerate(gens):
+            for x in range(verified[k], len(points)):
+                p = points[x]
+                s = orbit[gen.img[p]][1] * (gen * orbit[p][0])
                 residue, j = self.strip(s, i + 1)
-                if residue.is_identity():
-                    continue
-                self._add_at(residue, j)
-                return j
+                if not residue.is_identity():
+                    verified[k] = x
+                    self._add_at(residue, j)
+                    return j
+            verified[k] = len(points)
         return None
 
     def _verify_all(self, i):
@@ -299,10 +293,10 @@ class _ReferenceChain:
 def _check_chain_against_reference(G):
     n = G.degree
     chain, ref = G.chain(), _ReferenceChain(G.generators, n)
-    assert [level.point for level in chain.levels] == [point for point, _, _ in ref.levels]
-    for level, (_, ref_gens, ref_orbit) in zip(chain.levels, ref.levels):
+    assert [level.point for level in chain.levels] == [point for point, *_ in ref.levels]
+    for level, (_, ref_gens, _, ref_orbit) in zip(chain.levels, ref.levels):
         # strong generators and transversal inverses are padded tables
-        assert [(tuple(g[:n]), tuple(g_inv[:n])) for g, g_inv in level.new_gens] == [
+        assert [(tuple(g[:n]), tuple(g_inv[:n])) for g, g_inv in level.gens] == [
             (g.img, g.inverse().img) for g in ref_gens
         ]
         assert list(level.orbit) == list(ref_orbit)
@@ -335,6 +329,45 @@ def test_packed_chain_matches_reference_above_256_points():
     G = construct_group("perm:(297,298);(297,298,299,300)", max_degree=300)
     assert isinstance(G.chain().levels[0].orbit[G.chain().levels[0].point][0], tuple)
     _check_chain_against_reference(G)
+
+
+class _CountingOrbit(dict):
+    """An orbit that counts the transversal entries stored into it."""
+
+    stored = 0
+
+    def __setitem__(self, point, entry):
+        self.stored += 1
+        super().__setitem__(point, entry)
+
+
+def _check_transversal_entries_built_once(G):
+    # every level's orbit starts as its base point's entry and keeps each
+    # entry it stores, so it stores |orbit| - 1 of them, each once
+    class CountingLevel(permcore._Level):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.orbit = _CountingOrbit(self.orbit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permcore, "_Level", CountingLevel)
+        chain = StabilizerChain(G.generators, G.degree)
+    assert all(type(level.orbit) is _CountingOrbit for level in chain.levels)
+    assert sum(level.orbit.stored for level in chain.levels) == sum(len(level.orbit) - 1 for level in chain.levels)
+    assert chain.order() == G.order()
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
+def test_chain_builds_each_transversal_entry_once(spec):
+    _check_transversal_entries_built_once(get_group(spec))
+
+
+@given(two_generator_groups())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_chain_builds_each_transversal_entry_once_random(G):
+    _check_transversal_entries_built_once(G)
 
 
 # sha256 of the centralizer generators over every class, as the
@@ -737,6 +770,41 @@ def test_degree_above_256_packs_image_tuples():
         return sorted((e.m, repr(e.value)) for s in report.simples for e in s.indicators)
 
     assert values(big) == values(small)
+
+
+def _relabeled(G, seed):
+    """G with its points shuffled: each generator conjugated by one permutation."""
+    sigma = Permutation(random.Random(seed).sample(range(G.degree), G.degree))
+    return Group(G.degree, [sigma.conj(g) for g in G.generators], name=f"{G.name} relabeled")
+
+
+@pytest.mark.parametrize("spec", ["C5xC5", "C4xC4", "C2xC2xC2xC2", "C25", "Q8xC3", "S5"])
+def test_walk_orders_and_power_columns_match_the_reps(spec):
+    # the walk reads each rep's powers once, for its order and its power
+    # column; the first four groups take the early exit for commuting generators
+    G = construct_group(spec)
+    for H in (G, _relabeled(G, seed=len(spec))):
+        W = Group(H.degree, H.generators)
+        W._classes = permcore._Walk().classes(W, W.order())
+        for cs in (H.conjugacy_classes(), W._classes):
+            for cl, column in zip(cs.classes, cs.power_columns):
+                assert cl.order == cl.rep.order() == len(column)
+                assert list(column) == [cs.position_of(cl.rep**t) for t in range(cl.order)]
+        assert W._classes.classes == H.conjugacy_classes().classes
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_symmetric_power_columns_match_every_power_type(n):
+    G = construct_group(f"S{n}")
+    cs = G.conjugacy_classes()
+    assert cs.symmetric_on is not None
+    for cl, lam, column in zip(cs.classes, cs.cycle_types, cs.power_columns):
+        assert len(column) == cl.order == math.lcm(*lam)
+        for t in range(cl.order):
+            # an L-cycle to the power t is gcd(L, t) cycles of length L / gcd(L, t)
+            parts = sorted((L // math.gcd(L, t) for L in lam for _ in range(math.gcd(L, t))), reverse=True)
+            assert cs.cycle_types[column[t]] == tuple(parts)
+            assert column[t] == cs.position_of(cl.rep**t)
 
 
 # -- symmetric groups by cycle type against the class walk ---------------------
