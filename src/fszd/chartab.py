@@ -1,18 +1,14 @@
 """Exact ordinary character tables, by the first of four routes that applies.
 
-Each route is picked by a structural test that holds exactly:
+Each route is picked by an exact structural test:
 
 1. Orbit product: G's generators have r >= 2 nontrivial orbits and |G| is
    the product of the orders of the groups the orbits induce (below).
 2. Cyclic: some class has element order |G|, so its rep x generates G, and
    chi_j(x^t) = zeta_|G|^(jt) for j < |G| (``_cyclic_rows``).
-3. Symmetric: |G| = k! for the k points G's generators move.  G lies in
-   the symmetric group on those points, which has order k!, so it is that
-   group; permcore's class set makes the same test and keeps the points
-   (``symmetric_on``).  Row lambda at a class is chi_lambda at the rep's
-   cycle type on the k points, by the Murnaghan-Nakayama rule on beta-sets
-   (James & Kerber, *The Representation Theory of the Symmetric Group*,
-   1981, 2.4; ``_symmetric_rows``).
+3. Symmetric: |G| = k! for the k points G's generators move, so G is the
+   symmetric group on them (permcore's ``symmetric_on``); rows by the
+   Murnaghan-Nakayama rule on cycle types (``_symmetric_rows``).
 4. Dixon-Schneider, for every other group.
 
 Every route shares each distinct value object among its rows, so the
@@ -20,15 +16,14 @@ sort and the certificate work once per value object.
 
 Dixon-Schneider diagonalizes the class multiplication matrices
 simultaneously over GF(p), p the smallest prime = 1 mod exp(G) with
-p^2 > 4|G|, and w of order exp(G) mod p: the ``_prime_and_root`` that the
+p^2 > 4|G|, and w of order exp(G) mod p: the ``_prime_and_root`` the
 certificate below also uses.  Central characters are read off the
 one-dimensional common eigenspaces.  As |G| < p^2/4, a degree is the one
 divisor d of |G| with d^2 <= |G| and d^2 = |G|/s mod p, s the
 orthogonality sum.  Values are lifted to Q(zeta_exp(G)) by counting
 root-of-unity multiplicities along each class's power column (the classes
-of rep**t for t < o(rep), which the class set keeps).  Another w gives the
-Galois conjugate rows, and Irr(G) is Galois-stable, so the sorted table
-does not depend on w.
+of rep**t, t < o(rep)).  Another w gives the Galois conjugate rows, and
+Irr(G) is Galois-stable, so the sorted table does not depend on w.
 
 The GF(p) stages follow Schneider ("Dixon's character table algorithm
 revisited", J. Symb. Comput. 9, 1990) in building, on demand, only the
@@ -40,31 +35,24 @@ kept as it is; else the characteristic polynomial of the restriction is
 taken in O(d^3) through Hessenberg form (``_charpoly_mod``).  A space is a
 basis that is the identity at its pivot columns, and one elimination per
 eigenvalue gives each eigenspace as such a basis (``_split_eigenspaces``).
-The multiplicity lift of a value is a function of its GF(p) column alone, so
-each distinct column is lifted and checked once per table; a Galois
-conjugate of a character repeats that character's columns at other classes.
 
 Under route 1, G is the direct product of the groups G_i its generators
 induce on their orbits O_1..O_r: restriction to the orbits is injective,
 and equal orders make it onto.  Its classes are the tuples of classes of the
 G_i and its irreducibles the products chi_1 x ... x chi_r (Isaacs,
 *Character Theory of Finite Groups*, Thm 4.21), so its table is read off
-the factors' tables; the class map must be a size- and order-preserving
-bijection.
+the factors' tables.
 
 Every table, whichever route built it, then passes an exact self-check of
-degrees and row orthonormality (``_quick_check``).  A table whose rows are
-all rational, as every table of S_n, takes the k(k+1)/2 inner products,
-each one plain integer sum.  Any other table is certified instead
-(``_row_certificate``): its rows must be closed under the Galois group of
-Q(zeta_exp(G)), and then one Gram matrix modulo a prime above a norm bound
-proves every relation exactly.
+degrees and row orthonormality (``_quick_check``): plain integer inner
+products for rational rows, else Galois closure and one Gram matrix modulo
+a prime above a norm bound (``_row_certificate``).
 
-``inner_product``, ``class_sum`` and ``column_sums`` run on integer forms
-of the values (``_integer_forms``); when every value is rational a sum is
-one plain integer sum and ``_dot`` is skipped.  An irrational
-``class_sum`` has no products to take: it adds the reduced power-basis
-numerators of its terms per conductor and canonicalizes once.
+``inner_product`` and ``class_sum`` run on integer forms of the values
+(``_integer_forms``): a rational sum is one plain integer sum, and an
+irrational ``class_sum`` adds power-basis numerators per conductor and
+canonicalizes once.  ``root_pair_counts``, the gamma tables' sum of
+beta_chi chi, runs in GF(p) on an image of the table.
 """
 from __future__ import annotations
 
@@ -178,17 +166,15 @@ def _integer_forms(values: Sequence[Cyclotomic]) -> tuple[int, tuple, bool]:
     return den, tuple(forms), not irrational
 
 
-def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
-    """(1/den) * sum of w * a * b over (int w, integer form a, integer form b)
-    triples, with conj(b) in place of b when conj is set; exact, in integers.
+def _dot(terms, den: int) -> Cyclotomic:
+    """(1/den) * sum of w * a * conj(b) over (int w, integer form a, integer
+    form b) triples, exact, in integers.
 
-    Rational products add up as plain ints.  A product with an irrational
-    factor is a sum of powers of zeta_L, L the lcm of the conductors, and
-    conj(zeta^j) = zeta^-j; its terms go unreduced into one exponent buffer
-    per L.  The buffers and the rational part are lifted to the lcm of their
-    conductors, reduced once and put in canonical form over den.
+    Rational products add up as plain ints.  Irrational ones, as powers of
+    zeta_L (L the lcm of the conductors, conj(zeta^j) = zeta^-j), go
+    unreduced into one buffer per L; the buffers and the rational part are
+    lifted to the lcm of their conductors, reduced once and made canonical.
     """
-    sign = -1 if conj else 1
     rat = 0
     bufs: dict[int, list[int]] = {}
     for w, a, b in terms:
@@ -211,7 +197,7 @@ def _dot(terms, den: int, conj: bool = False) -> Cyclotomic:
         for i, x in ta:
             x *= w
             for j, y in tb:
-                buf[(i + sign * j) % L] += x * y
+                buf[(i - j) % L] += x * y
     n = math.lcm(*bufs)
     total = [0] * n
     total[0] = rat
@@ -234,16 +220,14 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     den = f.classes.group.order() * df * dg
     if f_rational and g_rational:
         return Cyclotomic._normal(1, den, (sum(map(mul, sizes, map(mul, fv, gv))),))
-    return _dot(zip(sizes, fv, gv), den, conj=True)
+    return _dot(zip(sizes, fv, gv), den)
 
 
 def class_sum(f: ClassFunction, weights: dict[int, int], den: int = 1) -> Cyclotomic:
     """(1/den) * sum of w * f(c) over the (class index c, int w) items of
     weights, exact, on the integer form of f: a plain int sum when f is
-    rational.  Else, as an irrational form is already reduced, terms add
-    numerator by numerator into one buffer per conductor, rational terms
-    into coefficient 0; the buffers are lifted to the lcm of their
-    conductors and summed, and one ``_canonical`` ends the sum."""
+    rational, else reduced numerators add into one buffer per conductor,
+    lifted to the lcm of the conductors and made canonical once."""
     d, forms, rational = f._integer_form()
     if rational:
         total = sum(map(mul, weights.values(), map(forms.__getitem__, weights)))
@@ -276,25 +260,41 @@ def class_sum(f: ClassFunction, weights: dict[int, int], den: int = 1) -> Cyclot
     return _canonical(n, den * d, total)
 
 
-def column_sums(table: CharacterTable, coeffs: Sequence[Cyclotomic], where: str) -> list[Cyclotomic]:
-    """sum over i of coeffs[i] * chi_i(c) for every class c of the table: a
-    plain int sum per class when the coefficients and rows are all rational,
-    else one ``_dot``.  A row with a denominator (character values are
-    algebraic integers) raises InvariantError naming where."""
-    den, forms, rational = _integer_forms(coeffs)
-    rows = []
-    for i, chi in enumerate(table.irreducibles):
-        d, row, row_rational = chi._integer_form()
-        if d != 1:
-            raise InvariantError(f"{where}: character {i} has denominator {d}")
-        rows.append(row)
-        rational = rational and row_rational
-    if rational:
-        return [Cyclotomic._normal(1, den, (sum(map(mul, forms, col)),)) for col in zip(*rows)]
-    return [
-        _dot(((1, a, row[c]) for a, row in zip(forms, rows)), den)
-        for c in range(len(table.classes))
-    ]
+def root_pair_counts(table: CharacterTable, roots: Sequence[int], where: str) -> tuple[int, ...]:
+    """gamma(c) = sum over the rows of beta_chi chi(c), where beta_chi =
+    phi_chi conj(phi_chi) / (|C| chi(1)), phi_chi = sum of |a| chi(a) over
+    the root classes a and conj(phi_chi) reads chi at their inverses: for R
+    their union, the number of x in R with gx in R, g in c.  Summed in GF(p)
+    under iota: zeta_n -> w^(e/n), e = exp(C), p the least prime = 1 mod e
+    above |C| (``_prime_and_root``), on the table's image, built on first
+    use.  Exact: p > |C| makes |C| chi(1) a unit, and gamma(c) is an integer
+    in [0, |R|], |R| < p, so its residue is its value.  The residues must
+    give gamma(1) = |R|, gamma(c) <= |R| and sum of |c| gamma(c) = |R|^2
+    (summing over g counts R x R once); a failure, or a row with a
+    denominator, raises InvariantError naming where."""
+    if table._mod is None:
+        e, n, irr = table.conductor, table.group.order(), table.irreducibles
+        for i, chi in enumerate(irr):
+            if (d := math.lcm(*(v.den for v in chi.values))) != 1:
+                raise InvariantError(f"{where}: character {i} has denominator {d}")
+        p, w = _prime_and_root(e, n)
+        image = {i: _eval_poly_mod(v.nums[::-1], pow(w, e // v.conductor, p), p) for i, v in _value_objects(irr).items()}
+        cols = list(zip(*([image[id(v)] for v in chi.values] for chi in irr)))
+        table._mod = p, cols, [pow(n * d, -1, p) for d in table.degrees]
+    p, cols, units = table._mod
+    cs = table.classes
+    sizes = [cs.classes[a].size for a in roots]
+    phi = [sum(map(mul, sizes, x)) for x in zip(*map(cols.__getitem__, roots))]
+    bar = [sum(map(mul, sizes, x)) for x in zip(*(cols[cs.power_columns[a][-1]] for a in roots))]
+    betas = [a * b * u % p for a, b, u in zip(phi, bar, units)]
+    gamma = tuple(sum(map(mul, betas, col)) % p for col in cols)
+    r = sum(sizes)
+    bad = 0 if gamma[0] != r else next((c for c, v in enumerate(gamma) if v > r), None)
+    if bad is not None:
+        raise InvariantError(f"{where}: gamma is {gamma[bad]} at class {bad}, |R| = {r}")
+    if sum(cl.size * v for cl, v in zip(cs.classes, gamma)) != r * r:
+        raise InvariantError(f"{where}: sum of |c| gamma(c) is not |R|^2 = {r * r}")
+    return gamma
 
 
 def _class_matrix_row(cs: ConjugacyClassSet, i: int, j: int) -> dict[int, int]:
@@ -329,7 +329,7 @@ def class_mult_coeff(classes: ConjugacyClassSet, a: int, b: int, c: int) -> int:
 class CharacterTable:
     """Exact character table of a finite permutation group."""
 
-    __slots__ = ("group", "classes", "irreducibles", "conductor", "_by_values")
+    __slots__ = ("group", "classes", "irreducibles", "conductor", "_by_values", "_mod")
 
     def __init__(self, group: Group, classes: ConjugacyClassSet, irreducibles):
         self.group = group
@@ -337,6 +337,7 @@ class CharacterTable:
         self.irreducibles = tuple(irreducibles)
         self.conductor = classes.exponent
         self._by_values = None  # value vector -> row index, built on first lookup
+        self._mod = None  # (p, columns mod p, units) of ``root_pair_counts``
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -394,12 +395,10 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
 
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9.
     A copy H of A is brought to upper Hessenberg form (h_ij = 0 for
-    i > j + 1) by similarity transforms: for each column m - 1, a row i >= m
-    with h_{i,m-1} != 0 is swapped with row m (and column i with column m),
-    then each row i > m loses u_i = h_{i,m-1} / h_{m,m-1} times row m while
-    column m gains u_i times column i.  A column with no such pivot is
-    already reduced.  The characteristic polynomials p_m of the leading m x m
-    blocks of H then satisfy p_0 = 1 and
+    i > j + 1) by similarity transforms: per column m - 1, a pivot swap into
+    row m, then row i > m loses u_i = h_{i,m-1} / h_{m,m-1} times row m while
+    column m gains u_i times column i.  The characteristic polynomials p_m
+    of the leading m x m blocks of H then satisfy p_0 = 1 and
 
         p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (prod_{j=i+1..m} h_{j,j-1}) p_i,
 
@@ -833,11 +832,9 @@ def _dixon_schneider_rows(G: Group, cs: ConjugacyClassSet) -> list[ClassFunction
 
 
 def _quick_check(table: CharacterTable) -> None:
-    """Exact validation of every built table: the degrees squared sum to
-    |G|, and the rows are orthonormal.  A table whose rows are all rational
-    takes the k(k+1)/2 inner products, each one plain integer sum; any other
-    table passes ``_row_certificate``, which proves the same relations with
-    one Gram matrix mod a prime.  A failure raises TableComputationError."""
+    """The degrees squared sum to |G| and the rows are orthonormal: by the
+    k(k+1)/2 inner products for rational rows, else ``_row_certificate``.
+    A failure raises TableComputationError."""
     n = table.group.order()
     degs = table.degrees
     if sum(d * d for d in degs) != n:

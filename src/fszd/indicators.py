@@ -14,14 +14,13 @@ A Session caches everything per group: centralizer groups (one Group per
 distinct subgroup, so equal centralizers share one character table), gamma
 tables keyed by reduced parameters, mates and mu elements.
 
-Past the character tables every step is an exact dot product of table rows
-with integer or cyclotomic weights: phi and nu are ``class_sum``s of a row
-(nu folds the 1/|C_G(g)| into the denominator), and the characters backend
-of gamma takes chartab's ``column_sums``, sum of beta_chi * chi(c) for each
-class c.  Both run on integer forms of the rows, which chartab alone
-builds, and canonicalize once per result: with rational rows and weights
-each is one plain int sum, else a coefficient-wise sum of reduced forms
-(``class_sum``) or chartab's integer kernel (``column_sums``).
+Past the character tables, phi and nu are exact ``class_sum``s of a table
+row with integer weights (nu folds the 1/|C_G(g)| into the denominator), on
+integer forms of the rows, which chartab alone builds.  The characters
+backend of gamma is chartab's ``root_pair_counts``: the sum of
+beta_chi * chi(c) over the rows, taken in GF(p) for a prime p > |C_G(z)|,
+so that the count it sums to is its own residue.  ``beta`` stays exact for
+the FSZ test.
 
 The FSZ rationality test works from the beta coefficients alone and skips
 parameter combinations that are forced rational, centralizers whose
@@ -43,7 +42,7 @@ from .chartab import (
     character_table,
     class_mult_coeff,
     class_sum,
-    column_sums,
+    root_pair_counts,
 )
 from .cyclotomic import Cyclotomic, RationalityInfo, ZERO, rationality
 from .errors import BadDivisorError, InvariantError, NonCommutingPairError
@@ -185,16 +184,11 @@ class Session:
                 sum(class_mult_coeff(ccs, a, inv[b], c) for a in roots for b in roots)
                 for c in range(len(ccs))
             )
-        table = self.centralizer_table(z_class)
-        betas = [beta(self, z_class, m, i) for i in range(len(table.irreducibles))]
-        out = []
-        sums = column_sums(table, betas, f"gamma at z-class {z_class}, m={m}")
-        for c, value in enumerate(sums):
-            val = value.rational_value()
-            if val is None or val.denominator != 1 or val < 0:
-                raise InvariantError(f"gamma: value not in N at z-class {z_class}, m={m}, class {c}")
-            out.append(int(val))
-        return tuple(out)
+        return root_pair_counts(
+            self.centralizer_table(z_class),
+            self.root_classes(z_class, m),
+            f"gamma at z-class {z_class}, m={m}",
+        )
 
     # -- mates and mu ----------------------------------------------------------
 

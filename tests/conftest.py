@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,12 @@ def get_session(spec: str) -> Session:
     if spec not in _SESSIONS:
         _SESSIONS[spec] = Session(get_group(spec))
     return _SESSIONS[spec]
+
+
+def relabeled(G: Group, seed: int) -> Group:
+    """G with its points shuffled: each generator conjugated by one permutation."""
+    sigma = Permutation(random.Random(seed).sample(range(G.degree), G.degree))
+    return Group(G.degree, [sigma.conj(g) for g in G.generators], name=f"{G.name} relabeled")
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ from fszd import (
 )
 
 from fszd.errors import InvariantError
-from fszd.chartab import column_sums
+from fszd.chartab import root_pair_counts
 
 from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, is_normal_form, two_generator_groups
 
@@ -354,6 +354,27 @@ def _reference_class_sum(f, weights, den):
     return total / den
 
 
+def _reference_betas(table, roots):
+    """beta_chi = |phi_chi|^2 / (|C| chi(1)), phi_chi = sum of |a| chi(a)
+    over the classes a in roots, in plain Cyclotomic arithmetic."""
+    n = table.group.order()
+    betas = []
+    for chi in table.irreducibles:
+        phi = Cyclotomic.rational(0)
+        for a in roots:
+            phi = phi + chi.values[a] * table.classes.classes[a].size
+        betas.append(phi * phi.galois(-1) / (n * chi.degree()))
+    return betas
+
+
+def _reference_root_pairs(table, roots):
+    """For R the union of the classes in roots, the number of x in R with
+    rep(c) * x in R for each class c, by enumeration."""
+    cs, where = table.classes, set(roots)
+    members = [x for x in table.group.elements() if cs.position_of(x) in where]
+    return [sum(cs.position_of(cl.rep * x) in where for x in members) for cl in cs.classes]
+
+
 def _reference_character_sums(coeffs, table):
     out = []
     for c in range(len(table.classes)):
@@ -400,10 +421,13 @@ def test_kernel_sums_match_cyclotomic_reference(data):
     for weights, values in cancelling:
         got = class_sum(ClassFunction(table.classes, values), weights, den)
         assert (got.conductor, got.den, got.nums) == (1, 1, (0,))
-    coeffs = data.draw(mixed_values(k))
-    got = column_sums(table, coeffs, "test")
-    assert got == _reference_character_sums(coeffs, table)
-    assert all(map(_is_canonical, got))
+    # the gamma combination step, over any union R of classes: the GF(p)
+    # sums count the x in R with gx in R, and are the exact beta sums
+    roots = sorted(data.draw(st.sets(st.integers(0, k - 1))))
+    got = root_pair_counts(table, roots, "test")
+    want = _reference_character_sums(_reference_betas(table, roots), table)
+    assert [Cyclotomic.rational(v) for v in got] == want
+    assert list(got) == _reference_root_pairs(table, roots)
 
 
 def test_character_sums_reject_a_row_with_a_denominator():
@@ -411,9 +435,37 @@ def test_character_sums_reject_a_row_with_a_denominator():
         values[:] = [v / 2 for v in values]
 
     table = _corrupted("S4", 1, halve)
-    coeffs = [Cyclotomic.rational(1)] * len(table.classes)
     with pytest.raises(InvariantError, match=r"test: character 1 has denominator 2"):
-        column_sums(table, coeffs, "test")
+        root_pair_counts(table, [0], "test")
+
+
+def test_gamma_checks_name_a_count_above_r_and_a_wrong_total():
+    # R = 1 and the involutions of S4, |R| = 10.  Moving row i's value at the
+    # 3-cycles, outside R, by delta moves gamma there by iota(beta_i) * delta
+    # mod p and leaves every beta alone; delta is picked to land on
+    # gamma + 1 (in range, so only the total is wrong) and on |R| + 1
+    from fszd.chartab import _prime_and_root
+
+    table = character_table(get_group("S4"))
+    classes = table.classes.classes
+    roots = [a for a, cl in enumerate(classes) if cl.order <= 2]
+    c = next(c for c, cl in enumerate(classes) if cl.order == 3)
+    r = sum(classes[a].size for a in roots)
+    gamma = root_pair_counts(table, roots, "test")
+    assert r == 10 and gamma[c] < r
+    p, _ = _prime_and_root(table.conductor, 24)
+    i, b = next((i, b) for i, b in enumerate(_reference_betas(table, roots)) if b != 0)
+    b = b.rational_value()
+    unit = b.numerator * pow(b.denominator, -1, p) % p
+    for target, message in (
+        (gamma[c] + 1, "sum of |c| gamma(c) is not |R|^2 = 100"),
+        (r + 1, f"gamma is {r + 1} at class {c}, |R| = {r}"),
+    ):
+        delta = (target - gamma[c]) * pow(unit, -1, p) % p
+        bad = _corrupted("S4", i, lambda values: values.__setitem__(c, values[c] + delta))
+        with pytest.raises(InvariantError) as caught:
+            root_pair_counts(bad, roots, "test")
+        assert str(caught.value) == f"test: {message}"
 
 
 def test_integer_arithmetic_builds_no_fraction(monkeypatch):
@@ -995,7 +1047,7 @@ def test_rational_rows_sum_as_dot_does(data):
         db, vb, b_rational = b._integer_form()
         assert a_rational and b_rational
         got = inner_product(a, b)
-        assert got == _dot(zip(sizes, va, vb), order * da * db, conj=True)
+        assert got == _dot(zip(sizes, va, vb), order * da * db)
         assert got == _reference_inner_product(a, b)
         assert _is_canonical(got)
     weights = data.draw(st.dictionaries(st.integers(0, k - 1), st.integers(-9, 9)))
@@ -1011,30 +1063,33 @@ def test_rational_rows_sum_as_dot_does(data):
 @given(st.data())
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_rational_column_sums_match_dot(data):
-    """column_sums with rational coefficients over a table whose rows are
-    all rational is one plain integer sum per class, which never reaches
-    _dot; it must give exactly what _dot gives."""
+    """root_pair_counts over a table whose rows are all rational, at any
+    union of classes, gives exactly what _dot gives as the sums of the exact
+    betas against the rows, and never reaches _dot or Cyclotomic arithmetic."""
     import fszd.chartab as chartab
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("_dot used on a rational table")
+        raise AssertionError("_dot or Cyclotomic arithmetic used")
 
     table = character_table(get_group(data.draw(st.sampled_from(RATIONAL_SPECS))))
     k = len(table.classes)
-    coeffs = [Cyclotomic.rational(q) for q in data.draw(rational_values(k))]
-    den, forms, _ = chartab._integer_forms(coeffs)
+    roots = sorted(data.draw(st.sets(st.integers(0, k - 1))))
+    betas = _reference_betas(table, roots)
+    den, forms, _ = chartab._integer_forms(betas)
     rows = []
     for chi in table.irreducibles:
         d, row, rational = chi._integer_form()
         assert d == 1 and rational
         rows.append(row)
     want = [chartab._dot(((1, a, row[c]) for a, row in zip(forms, rows)), den) for c in range(k)]
+    table._mod = None  # so the GF(p) image is built under the patches too
     with pytest.MonkeyPatch.context() as m:
         m.setattr(chartab, "_dot", forbidden)
-        got = column_sums(table, coeffs, "test")
-    assert got == want
-    assert got == _reference_character_sums(coeffs, table)
-    assert all(map(_is_canonical, got))
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+            m.setattr(Cyclotomic, name, forbidden)
+        got = root_pair_counts(table, roots, "test")
+    assert [Cyclotomic.rational(v) for v in got] == want
+    assert want == _reference_character_sums(betas, table)
 
 
 # -- direct products by orbit decomposition -------------------------------------

@@ -56,6 +56,7 @@ from conftest import (
     get_group,
     get_session,
     p_part,
+    relabeled,
     transported_eta_index,
 )
 
@@ -200,6 +201,105 @@ def test_gamma_expands_in_betas():
                     term = chi * beta(S, z_class, m, chi_index)
                     expanded = term if expanded is None else expanded + term
                 assert expanded == gamma(S, z_class, m, reduce=False)
+
+
+@pytest.mark.parametrize(
+    "spec", ["C5xC5", "C25", "C3xC3xC2", "Q8xC3", "D4xC3", SL23_SPEC, "A7", "S7"]
+)
+def test_gamma_in_gf_p_matches_the_exact_beta_sums(spec):
+    # the characters backend sums beta * chi in GF(p): every gamma_m^z with
+    # m | exp, reduced, and gamma at exp + 2 unreduced, against the sum of
+    # beta(...) * chi(c) in Cyclotomic arithmetic, once per root set
+    G = construct_group(spec)
+    for H in (G, relabeled(G, seed=len(spec))):
+        S = Session(H)
+        for z_class in range(len(S.classes)):
+            irr = S.centralizer_table(z_class).irreducibles
+            exact = {}
+            for m in (*S.divisors, S.exponent + 2):
+                roots = S.root_classes(z_class, m)
+                if roots not in exact:
+                    betas = [beta(S, z_class, m, i) for i in range(len(irr))]
+                    exact[roots] = tuple(
+                        sum((b * chi.values[c] for b, chi in zip(betas, irr)), Cyclotomic.rational(0))
+                        for c in range(len(irr))
+                    )
+                got = gamma(S, z_class, m, reduce=S.exponent % m == 0)
+                assert got.values == exact[roots], (spec, H.name, z_class, m)
+
+
+_GAMMA_MUTATIONS = """
+from fszd import InvariantError, Session, construct_group
+from fszd.chartab import CharacterTable, ClassFunction, character_table
+
+
+def halve(values, j):
+    values[:] = [v / 2 for v in values]
+
+
+def conjugate_one(values, j):
+    values[j] = values[j].galois(-1)
+
+
+for change in (halve, conjugate_one):
+    # C5xC5 is its own centralizer at z = 1; change the first row with an
+    # irrational value, at its first one
+    session = Session(construct_group("C5xC5"))
+    G = session.group
+    table = character_table(G)
+    rows = list(table.irreducibles)
+    r, j = next((r, j) for r, cf in enumerate(rows) for j, v in enumerate(cf.values) if not v.is_real())
+    values = list(rows[r].values)
+    change(values, j)
+    rows[r] = ClassFunction(table.classes, values)
+    G._chartab = CharacterTable(G, table.classes, rows)
+    try:
+        session.gamma_vector(0, 5)
+    except InvariantError as exc:
+        print(r, exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_corrupted_table_fails_the_gamma_checks(flags):
+    # pytest's own asserts vanish under -O, so run the mutations in a child:
+    # a halved row has a denominator, and a value swapped for its complex
+    # conjugate breaks gamma(1) = |R| at z = 1, m = 5, where R is all of C5xC5
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _GAMMA_MUTATIONS],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "1 gamma at z-class 0, m=5: character 1 has denominator 2",
+        "1 gamma at z-class 0, m=5: gamma is 13 at class 0, |R| = 25",
+    ]
+
+
+# perfbench's gamma pool rule, recomputed: a reduced (z, m) is kept when the
+# cmc backend's work, k * |roots| * (sum of root class sizes), is at most this
+CMC_WORK_LIMIT = 150_000
+
+
+def test_backends_agree_past_order_200():
+    # criterion 2 stops at order 200; here both backends meet on every cheap
+    # (z, m | exp) of ten groups up to S8
+    reduced = 0
+    for spec in ("S6", "S7", "S8", "A7", "C2xS5", "C5xC5", "C4xC4", "Q8xC3", "D4xC3", SL23_SPEC):
+        S = Session(construct_group(spec))
+        for z_class in range(len(S.classes)):
+            ccs = S.centralizer_classes(z_class)
+            for m in S.divisors:
+                red = reduce_gamma_params(S, z_class, m)
+                if red.kind == "reduced":
+                    roots = S.root_classes(z_class, red.m_reduced)
+                    if len(ccs) * len(roots) * sum(ccs.classes[a].size for a in roots) > CMC_WORK_LIMIT:
+                        continue
+                    reduced += 1
+                via_cmc = gamma(S, z_class, m, backend="cmc")
+                assert gamma(S, z_class, m) == via_cmc, (spec, z_class, m)
+    assert reduced == 365
 
 
 def test_double_of_c2_matches_classical():

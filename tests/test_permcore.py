@@ -31,7 +31,7 @@ from fszd import permcore
 from fszd._nt import divisors
 from fszd.permcore import StabilizerChain, _transversal
 
-from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, two_generator_groups
+from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, relabeled, two_generator_groups
 
 perms5 = st.permutations(range(5)).map(Permutation)
 
@@ -772,18 +772,12 @@ def test_degree_above_256_packs_image_tuples():
     assert values(big) == values(small)
 
 
-def _relabeled(G, seed):
-    """G with its points shuffled: each generator conjugated by one permutation."""
-    sigma = Permutation(random.Random(seed).sample(range(G.degree), G.degree))
-    return Group(G.degree, [sigma.conj(g) for g in G.generators], name=f"{G.name} relabeled")
-
-
 @pytest.mark.parametrize("spec", ["C5xC5", "C4xC4", "C2xC2xC2xC2", "C25", "Q8xC3", "S5"])
 def test_walk_orders_and_power_columns_match_the_reps(spec):
     # the walk reads each rep's powers once, for its order and its power
     # column; the first four groups take the early exit for commuting generators
     G = construct_group(spec)
-    for H in (G, _relabeled(G, seed=len(spec))):
+    for H in (G, relabeled(G, seed=len(spec))):
         W = Group(H.degree, H.generators)
         W._classes = permcore._Walk().classes(W, W.order())
         for cs in (H.conjugacy_classes(), W._classes):
