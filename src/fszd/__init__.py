@@ -28,7 +28,6 @@ from .permcore import (
     element_power_order,
     group_exponent,
     rational_classes,
-    restricted_normalizer,
 )
 from .cyclotomic import (
     Cyclotomic,

@@ -1,13 +1,12 @@
-"""Exact ordinary character tables, by the first of four routes that applies.
+"""Exact ordinary character tables, by the route G's class-set construction
+names (permcore's ``rows``): route 3 under cycle types, else the first of
+routes 1, 2 and 4 that applies.
 
-Each route is picked by an exact structural test:
-
-1. Orbit product: G's generators have r >= 2 nontrivial orbits and |G| is
-   the product of the orders of the groups the orbits induce (below).
+1. Orbit product: G is the direct product of the groups its generators
+   induce on their r >= 2 nontrivial orbits (permcore's ``_orbit_factors``).
 2. Cyclic: some class has element order |G|, so its rep x generates G, and
    chi_j(x^t) = zeta_|G|^(jt) for j < |G| (``_cyclic_rows``).
-3. Symmetric: |G| = k! for the k points G's generators move, so G is the
-   symmetric group on them (permcore's ``symmetric_on``); rows by the
+3. Symmetric: G is the symmetric group on the points it moves; rows by the
    Murnaghan-Nakayama rule on cycle types (``_symmetric_rows``).
 4. Dixon-Schneider, for every other group.
 
@@ -36,12 +35,9 @@ taken in O(d^3) through Hessenberg form (``_charpoly_mod``).  A space is a
 basis that is the identity at its pivot columns, and one elimination per
 eigenvalue gives each eigenspace as such a basis (``_split_eigenspaces``).
 
-Under route 1, G is the direct product of the groups G_i its generators
-induce on their orbits O_1..O_r: restriction to the orbits is injective,
-and equal orders make it onto.  Its classes are the tuples of classes of the
-G_i and its irreducibles the products chi_1 x ... x chi_r (Isaacs,
-*Character Theory of Finite Groups*, Thm 4.21), so its table is read off
-the factors' tables.
+Under route 1, G's classes are the tuples of classes of the factors G_i
+and its irreducibles the products chi_1 x ... x chi_r (Isaacs, *Character
+Theory of Finite Groups*, Thm 4.21), so its table is read off theirs.
 
 Every table, whichever route built it, then passes an exact self-check of
 degrees and row orthonormality (``_quick_check``): plain integer inner
@@ -74,7 +70,7 @@ from .cyclotomic import (
     from_root_combination,
 )
 from .errors import InvariantError, MismatchedTablesError, TableComputationError
-from .permcore import ConjugacyClassSet, Group, Permutation
+from .permcore import ConjugacyClassSet, Group, Permutation, _restrict
 
 
 class ClassFunction:
@@ -556,24 +552,13 @@ def _split_eigenspaces(spaces: list[tuple], mat_rows: dict[int, dict[int, int]],
 
 
 def character_table(G: Group) -> CharacterTable:
-    """Exact character table of G (cached on the group object), by the first
-    of the module's four routes that applies (``_orbit_factors``,
-    ``_cyclic_rows``, ``_symmetric_rows``, ``_dixon_schneider_rows``), and
+    """Exact character table of G (cached on the group object), its rows
+    by the route G's construction names (``rows``), sorted and
     self-checked whichever route ran."""
     if G._chartab is not None:
         return G._chartab
     cs = G.conjugacy_classes()
-    n = sum(cl.size for cl in cs.classes)  # |G|
-    factors = _orbit_factors(G)
-    generator = next((c for c, cl in enumerate(cs.classes) if cl.order == n), None)
-    if factors:
-        rows = _product_rows(G, cs, factors)
-    elif generator is not None:
-        rows = _cyclic_rows(cs, generator)
-    elif cs.symmetric_on is not None:
-        rows = _symmetric_rows(cs, len(cs.symmetric_on))
-    else:
-        rows = _dixon_schneider_rows(G, cs)
+    rows = cs.construction.rows(cs)
     rows.sort(key=partial(_row_key, keys={i: v.sort_key() for i, v in _value_objects(rows).items()}))
     table = CharacterTable(G, cs, rows)
     _quick_check(table)
@@ -611,12 +596,12 @@ def _cyclic_rows(cs: ConjugacyClassSet, c: int) -> list[ClassFunction]:
     return [ClassFunction(cs, [roots[j * t % n] for t in exponent_at]) for j in range(n)]
 
 
-def _symmetric_rows(cs: ConjugacyClassSet, k: int) -> list[ClassFunction]:
+def _symmetric_rows(cs: ConjugacyClassSet, types: Sequence[tuple[int, ...]]) -> list[ClassFunction]:
     """The irreducibles chi_lambda of Sym(k points), lambda a partition of
-    k, at each class's cycle type mu on those points (``cs.cycle_types``),
-    by the Murnaghan-Nakayama rule (James & Kerber, *The Representation
-    Theory of the Symmetric Group*, 1981, 2.4): chi_lambda(mu) is the sum over the
-    mu_1-rim hooks h of lambda of (-1)^(leg length of h) *
+    k, at each class's cycle type mu on those points (types, in class
+    order), by the Murnaghan-Nakayama rule (James & Kerber, *The
+    Representation Theory of the Symmetric Group*, 1981, 2.4): chi_lambda(mu)
+    is the sum over the mu_1-rim hooks h of lambda of (-1)^(leg length of h) *
     chi_(lambda - h)(mu_2, ...).  lambda is coded by its beta-set with k
     beads, {lambda_i + k - i}, as a bitmask; removing an r-rim hook moves a
     bead from b to an empty b - r, and its leg length is the number of beads
@@ -640,7 +625,7 @@ def _symmetric_rows(cs: ConjugacyClassSet, k: int) -> list[ClassFunction]:
             memo[key] = value
         return value
 
-    types = cs.cycle_types
+    k = sum(types[0])
     rows = []
     for lam in types:  # each partition of k is the cycle type of one class
         mask = sum(1 << (part + k - i) for i, part in enumerate(lam, start=1))
@@ -648,52 +633,6 @@ def _symmetric_rows(cs: ConjugacyClassSet, k: int) -> list[ClassFunction]:
         rows.append([chi(mask, mu) for mu in types])
     shared = {x: Cyclotomic.rational(x) for x in set().union(*rows)}
     return [ClassFunction(cs, [shared[x] for x in row]) for row in rows]
-
-
-def _restrict(x: Permutation, orbit: Sequence[int]) -> Permutation:
-    """x on the points of an orbit of x's group, renumbered 0.. in the
-    orbit's order."""
-    img = x.img
-    at = {p: i for i, p in enumerate(orbit)}
-    return Permutation._raw(tuple(at[img[p]] for p in orbit))
-
-
-def _orbit_factors(G: Group) -> list[tuple[list[int], Group]] | None:
-    """(orbit, G_i) for each nontrivial orbit O_i of G's generators, its
-    points ascending and G_i the group they induce on it, when there are
-    at least two orbits and |G| is the product of the |G_i|; else None."""
-    seen = [False] * G.degree
-    orbits = []
-    for start in range(G.degree):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        for p in orbit:
-            for g in G.generators:
-                q = g.img[p]
-                if not seen[q]:
-                    seen[q] = True
-                    orbit.append(q)
-        if len(orbit) > 1:
-            orbits.append(sorted(orbit))
-    if len(orbits) < 2:
-        return None
-    label = G.name or "G"
-    factors = [
-        (
-            orbit,
-            Group(
-                len(orbit),
-                [_restrict(g, orbit) for g in G.generators],
-                name=f"{label} on {{{','.join(str(p + 1) for p in orbit)}}}",
-            ),
-        )
-        for orbit in orbits
-    ]
-    if math.prod(H.order() for _, H in factors) != G.order():
-        return None
-    return factors
 
 
 def _class_map(cs: ConjugacyClassSet, factors, tables) -> list[tuple[int, ...]]:

@@ -10,12 +10,15 @@ class-set construction (``_pick_construction``): the class walk (``_Walk``)
 for any group, or cycle types (``_Symmetric``) for the full symmetric group
 on the points it moves.  It builds the conjugacy classes, up to a bound on
 |G| (``FSZD_MAX_ORDER`` overrides it), and answers ``position_of``,
-centralizers and conjugators.  The walk's index (``_walk``) is the one store
-of G's elements: each packed element is a key once, its value coding its
-class and the Schreier edge that reached it (see ``_conjugation_orbit``).
-It backs ``members``, ``product_classes``, ``Group.elements()`` and the
-walk's transversals; under another construction the walk runs on the first
-call that needs it.  Each class has a power column (the classes of rep**t,
+centralizers, conjugators and the route of G's character table (``rows``):
+Murnaghan-Nakayama for cycle types; for the walk, the orbit product
+(``_orbit_factors``), cyclic rows or Dixon-Schneider, the first that
+applies.  The walk's index (``_walk``) is the one store of G's elements:
+each packed element is a key once, its value coding its class and the
+Schreier edge that reached it (see ``_conjugation_orbit``).  It backs
+``members``, ``product_classes``, ``Group.elements()`` and the walk's
+transversals; under another construction the walk runs on the first call
+that needs it.  Each class has a power column (the classes of rep**t,
 t < o(rep)) that answers every power question.
 
 The element-level loops run on packed images, not ``Permutation`` objects.
@@ -472,15 +475,10 @@ class ConjugacyClassSet:
     the class index of packed x is position[index[x]] (``_walked``).  The
     walk construction builds it with the classes; under any other the walk
     runs on the first use of the index, and each class takes the orbit whose
-    least element is its rep.  The symmetric construction sets
-    ``symmetric_on`` (its points) and ``cycle_types`` (each class's
-    partition of their number), else None.
+    least element is its rep.
     """
 
-    __slots__ = (
-        "group", "classes", "power_columns", "exponent", "construction",
-        "symmetric_on", "cycle_types", "_walk", "_cmc_rows",
-    )
+    __slots__ = ("group", "classes", "power_columns", "exponent", "construction", "_walk", "_cmc_rows")
 
     def __init__(self, group: Group, classes: Iterable, power_columns: Iterable, construction):
         self.group = group
@@ -488,7 +486,6 @@ class ConjugacyClassSet:
         self.power_columns = tuple(power_columns)
         self.exponent = math.lcm(*(cl.order for cl in self.classes))
         self.construction = construction
-        self.symmetric_on = self.cycle_types = None
         self._walk = None  # (index, position), see _walked
         self._cmc_rows: dict = {}  # chartab.class_mult_coeff's class-matrix rows, keyed (i, j)
         for cl in self.classes:
@@ -643,7 +640,8 @@ def _compute_classes(G: Group) -> ConjugacyClassSet:
 # ---------------------------------------------------------------------------
 # Class-set constructions.  Each has classes(G, n), the class set of G of
 # order n; position(cs, x), the class of x of G's degree, or None when x is
-# not in G; centralizer(G, z); and conjugator(cs, a, b) for a, b in one class.
+# not in G; centralizer(G, z); conjugator(cs, a, b) for a, b in one class;
+# and rows(cs), G's irreducible characters, unsorted, by chartab's routes.
 
 
 def _pick_construction(G: Group) -> "_Walk | _Symmetric":
@@ -738,6 +736,23 @@ class _Walk:
         t_a_inv = _transversal(G, index, G._pack(a.img))[1]
         return _unpack(G._compose(t_a_inv, t_b + G._pad))
 
+    def rows(self, cs):
+        """The orbit product's rows when ``_orbit_factors`` finds one, else
+        the cyclic rows when a class has order |G|, else Dixon-Schneider.
+        The product is tested here, not in ``_pick_construction``: most
+        groups whose classes are built never get a table."""
+        from .chartab import _cyclic_rows, _dixon_schneider_rows, _product_rows
+
+        G = cs.group
+        factors = _orbit_factors(G)
+        if factors:
+            return _product_rows(G, cs, factors)
+        n = G.order()
+        generator = next((c for c, cl in enumerate(cs.classes) if cl.order == n), None)
+        if generator is not None:
+            return _cyclic_rows(cs, generator)
+        return _dixon_schneider_rows(G, cs)
+
 
 class _Symmetric:
     """The symmetric construction, for G the full symmetric group on the
@@ -745,7 +760,7 @@ class _Symmetric:
 
     def __init__(self, points):
         self.points = points
-        self.at: dict = {}  # cycle type -> class index, filled by classes
+        self.at: dict = {}  # cycle type -> class index, in class order, filled by classes
 
     def classes(self, G, n):
         """One class per partition lambda of k = |points|, of size k!/z_lambda
@@ -778,9 +793,7 @@ class _Symmetric:
             o = by_type[lam].order
             by_gcd = {g: power_class(lam, g) for g in divisors(o)}
             columns.append(tuple(by_gcd[math.gcd(t, o)] for t in range(o)))
-        cs = ConjugacyClassSet(G, map(by_type.get, types), columns, self)
-        cs.symmetric_on, cs.cycle_types = self.points, tuple(types)
-        return cs
+        return ConjugacyClassSet(G, map(by_type.get, types), columns, self)
 
     def position(self, cs, x):
         cycles = x._cycles0()
@@ -824,6 +837,12 @@ class _Symmetric:
         )
         return _mapping(cs.group.degree, zip(chain(*a_cycles), chain(*b_cycles)))
 
+    def rows(self, cs):
+        """Murnaghan-Nakayama on the cycle types, in class order."""
+        from .chartab import _symmetric_rows
+
+        return _symmetric_rows(cs, tuple(self.at))
+
 
 def _partitions(k: int, largest: int | None = None):
     """The partitions of k into parts at most largest, as descending tuples."""
@@ -854,6 +873,54 @@ def _mapping(degree: int, pairs: Iterable[tuple[int, int]]) -> Permutation:
     for a, b in pairs:
         img[a] = b
     return Permutation._raw(tuple(img))
+
+
+def _restrict(x: Permutation, orbit: Sequence[int]) -> Permutation:
+    """x on the points of an orbit of x's group, renumbered 0.. in the
+    orbit's order."""
+    img = x.img
+    at = {p: i for i, p in enumerate(orbit)}
+    return Permutation._raw(tuple(at[img[p]] for p in orbit))
+
+
+def _orbit_factors(G: Group) -> list[tuple[list[int], Group]] | None:
+    """(orbit, G_i) for each nontrivial orbit O_i of G's generators, its
+    points ascending and G_i the group they induce on it, when there are
+    at least two orbits and |G| is the product of the |G_i|; else None.
+    Restriction to the orbits is injective, so equal orders make G the
+    direct product of the G_i."""
+    seen = [False] * G.degree
+    orbits = []
+    for start in range(G.degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for p in orbit:
+            for g in G.generators:
+                q = g.img[p]
+                if not seen[q]:
+                    seen[q] = True
+                    orbit.append(q)
+        if len(orbit) > 1:
+            orbits.append(sorted(orbit))
+    if len(orbits) < 2:
+        return None
+    label = G.name or "G"
+    factors = [
+        (
+            orbit,
+            Group(
+                len(orbit),
+                [_restrict(g, orbit) for g in G.generators],
+                name=f"{label} on {{{','.join(str(p + 1) for p in orbit)}}}",
+            ),
+        )
+        for orbit in orbits
+    ]
+    if math.prod(H.order() for _, H in factors) != G.order():
+        return None
+    return factors
 
 
 def conjugacy_classes(G: Group) -> ConjugacyClassSet:
@@ -914,31 +981,6 @@ def rational_classes(G: Group, d: int = 1) -> tuple[tuple[int, ...], ...]:
             assigned[c] = True
         cells.append(tuple(cell))
     return tuple(cells)
-
-
-def restricted_normalizer(G: Group, g: Permutation, d: int) -> Group:
-    """N_G^d(g): elements t with t*g*t^-1 = g^r, (r, exp(G)) = 1, r = 1 mod d.
-
-    It is C_G(g) together with one element t conjugating g to each
-    admissible power g^r in the class of g.
-    """
-    if d < 1:
-        raise BadDivisorError("d must be a positive integer")
-    if g not in G:
-        raise NotInGroupError("restricted_normalizer: element is not in the group")
-    exp = G.exponent()
-    if exp % d != 0:
-        raise BadDivisorError(f"d={d} does not divide exp(G)={exp}")
-    o = g.order()
-    gens = list(centralizer(G, g).generators)
-    for r in range(o):
-        # g^r is admissible when r lifts modulo o to a unit mod exp(G) that is 1 mod d
-        if any(math.gcd(r + k * o, exp) == 1 and (r + k * o) % d == 1 % d for k in range(exp // o)):
-            t = conjugator(G, g, g**r)
-            if t is not None:
-                gens.append(t)
-    name = f"N^{d}_{G.name or 'G'}({g.cycle_string()})"
-    return Group(G.degree, gens, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from fszd import ClassFunction, Group, Permutation, Session, construct_group, sqrt_cyclotomic
+from fszd import BadDivisorError, ClassFunction, Group, NotInGroupError, Permutation, Session
+from fszd import centralizer, conjugator, construct_group, sqrt_cyclotomic
 from fszd._nt import euler_phi
 
 # SL(2,3) acting on the eight nonzero vectors of F_3^2
@@ -48,6 +49,31 @@ def relabeled(G: Group, seed: int) -> Group:
     """G with its points shuffled: each generator conjugated by one permutation."""
     sigma = Permutation(random.Random(seed).sample(range(G.degree), G.degree))
     return Group(G.degree, [sigma.conj(g) for g in G.generators], name=f"{G.name} relabeled")
+
+
+def restricted_normalizer(G: Group, g: Permutation, d: int) -> Group:
+    """N_G^d(g): elements t with t*g*t^-1 = g^r, (r, exp(G)) = 1, r = 1 mod d.
+
+    It is C_G(g) together with one element t conjugating g to each
+    admissible power g^r in the class of g.
+    """
+    if d < 1:
+        raise BadDivisorError("d must be a positive integer")
+    if g not in G:
+        raise NotInGroupError("restricted_normalizer: element is not in the group")
+    exp = G.exponent()
+    if exp % d != 0:
+        raise BadDivisorError(f"d={d} does not divide exp(G)={exp}")
+    o = g.order()
+    gens = list(centralizer(G, g).generators)
+    for r in range(o):
+        # g^r is admissible when r lifts modulo o to a unit mod exp(G) that is 1 mod d
+        if any(math.gcd(r + k * o, exp) == 1 and (r + k * o) % d == 1 % d for k in range(exp // o)):
+            t = conjugator(G, g, g**r)
+            if t is not None:
+                gens.append(t)
+    name = f"N^{d}_{G.name or 'G'}({g.cycle_string()})"
+    return Group(G.degree, gens, name=name)
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from fszd import (
     Permutation,
     ResourceLimitError,
     TableComputationError,
+    centralizer,
     character_table,
     class_mult_coeff,
     class_position,
@@ -1117,7 +1118,7 @@ def _same_table(a, b):
 
 def test_product_tables_match_dixon_schneider():
     from fszd import Session
-    from fszd.chartab import _orbit_factors
+    from fszd.permcore import _orbit_factors
 
     decomposable = {}
     for spec in ACCEPTANCE_SPECS + SWEEP_SPECS:
@@ -1151,7 +1152,7 @@ def test_diagonal_centralizer_takes_no_product_route(monkeypatch):
     # groups have orders 4 * 4 * 3 != 12 and the test must not decompose it.
     # The group is cyclic of order 12, so the cyclic route builds its table
     import fszd.chartab as chartab
-    from fszd import Session
+    from fszd import Session, permcore
 
     S = Session(construct_group("Q8xC3"))
     z = next(c for c, cl in enumerate(S.classes.classes) if cl.order == 4)
@@ -1164,7 +1165,7 @@ def test_diagonal_centralizer_takes_no_product_route(monkeypatch):
             orbit |= images
         orbits.add(frozenset(orbit))
     assert sorted(len(o) for o in orbits if len(o) > 1) == [3, 4, 4]
-    assert chartab._orbit_factors(H) is None
+    assert permcore._orbit_factors(H) is None
 
     def no_product(*args):
         raise AssertionError("product reduction taken on a diagonal subgroup")
@@ -1387,10 +1388,11 @@ SYMMETRIC_GROUPS = [construct_group(f"S{k}") for k in range(3, 9)] + [
 def test_symmetric_rows_match_dixon_schneider(G):
     from fszd.chartab import _symmetric_rows
 
-    k = len(G.conjugacy_classes().symmetric_on)
+    cs = G.conjugacy_classes()
+    k = len(cs.construction.points)
     assert G.order() == math.factorial(k)
     want = _route_values(_dixon_schneider_table(G).irreducibles)
-    assert _route_values(_symmetric_rows(G.conjugacy_classes(), k)) == want
+    assert _route_values(_symmetric_rows(cs, tuple(cs.construction.at))) == want
 
 
 def _cyclic(name, degree, *cycle_lists):
@@ -1416,6 +1418,33 @@ def test_cyclic_rows_match_dixon_schneider(G):
     c = next(c for c, cl in enumerate(cs.classes) if cl.order == G.order())
     want = _route_values(_dixon_schneider_table(G).irreducibles)
     assert _route_values(_cyclic_rows(cs, c)) == want
+
+
+def test_two_point_symmetric_groups_match_the_cyclic_route(monkeypatch):
+    # S1, S2, C2 and every C2 on two points (C2xS5's first factor, the S2
+    # factor of a transposition's centralizer in S_n) are symmetric groups on
+    # the points they move, so Murnaghan-Nakayama builds their tables; they
+    # are cyclic too, and the cyclic route must give the same sorted table
+    import fszd.chartab as chartab
+    from fszd.permcore import _Symmetric, _orbit_factors
+
+    cyclic_rows = chartab._cyclic_rows
+
+    def forbidden(*args):
+        raise AssertionError("cyclic route taken by a symmetric group")
+
+    monkeypatch.setattr(chartab, "_cyclic_rows", forbidden)
+    groups = [construct_group(spec) for spec in ("S1", "S2", "C2")]
+    groups.append(_orbit_factors(construct_group("C2xS5"))[0][1])
+    for n in range(4, 9):
+        Sn = construct_group(f"S{n}")
+        groups.append(_orbit_factors(centralizer(Sn, Permutation.from_cycles(n, [(1, 2)])))[0][1])
+    for G in groups:
+        table = character_table(G)
+        assert isinstance(G._construction, _Symmetric) and G.order() <= 2
+        cs = table.classes
+        c = next(c for c, cl in enumerate(cs.classes) if cl.order == G.order())
+        assert [cf.values for cf in table.irreducibles] == _route_values(cyclic_rows(cs, c))
 
 
 def test_formula_routes_need_no_dixon_schneider(monkeypatch):

@@ -40,7 +40,6 @@ from fszd import (
     phi,
     rationality,
     reduce_gamma_params,
-    restricted_normalizer,
     sqrt_cyclotomic,
     w_class_function,
 )
@@ -57,6 +56,7 @@ from conftest import (
     get_session,
     p_part,
     relabeled,
+    restricted_normalizer,
     transported_eta_index,
 )
 
@@ -939,17 +939,6 @@ def test_report_takes_rationality_once_per_distinct_value(monkeypatch):
         for e in s.indicators:
             info = real(e.value)
             assert (e.rational, e.pretty, e.approx) == (info.is_rational, info.pretty, info.approx)
-
-
-def test_restricted_normalizer_rejects_d_before_computing_classes():
-    # as for fsz_test: S12's classes are beyond the enumeration limit
-    for spec in ("S8", "S12"):
-        G = construct_group(spec)
-        g = Permutation.from_cycles(G.degree, [(1, 2, 3)])
-        for d in (0, -3):
-            with pytest.raises(BadDivisorError, match="d must be a positive integer"):
-                restricted_normalizer(G, g, d)
-        assert G._classes is None
 
 
 # fsz-decide cases of the benchmark corpus (group, d)

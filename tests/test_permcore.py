@@ -20,18 +20,18 @@ from fszd import (
     centralizer,
     conjugator,
     construct_group,
+    character_table,
     element_power_order,
     fsz_test,
     group_exponent,
     rational_classes,
-    restricted_normalizer,
 )
 from fszd.chartab import ClassFunction, _class_matrix_row, class_mult_coeff
 from fszd import permcore
 from fszd._nt import divisors
 from fszd.permcore import StabilizerChain, _transversal
 
-from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, relabeled, two_generator_groups
+from conftest import ACCEPTANCE_SPECS, SL23_SPEC, get_group, relabeled, restricted_normalizer, two_generator_groups
 
 perms5 = st.permutations(range(5)).map(Permutation)
 
@@ -791,13 +791,15 @@ def test_walk_orders_and_power_columns_match_the_reps(spec):
 def test_symmetric_power_columns_match_every_power_type(n):
     G = construct_group(f"S{n}")
     cs = G.conjugacy_classes()
-    assert cs.symmetric_on is not None
-    for cl, lam, column in zip(cs.classes, cs.cycle_types, cs.power_columns):
+    assert isinstance(cs.construction, permcore._Symmetric)
+    types = tuple(cs.construction.at)  # the cycle types in class order
+    assert len(types) == len(cs)
+    for cl, lam, column in zip(cs.classes, types, cs.power_columns):
         assert len(column) == cl.order == math.lcm(*lam)
         for t in range(cl.order):
             # an L-cycle to the power t is gcd(L, t) cycles of length L / gcd(L, t)
             parts = sorted((L // math.gcd(L, t) for L in lam for _ in range(math.gcd(L, t))), reverse=True)
-            assert cs.cycle_types[column[t]] == tuple(parts)
+            assert types[column[t]] == tuple(parts)
             assert column[t] == cs.position_of(cl.rep**t)
 
 
@@ -825,7 +827,7 @@ SYMMETRIC_BY_TYPE = (
 
 def _check_symmetric_against_walk(G):
     cs = G.conjugacy_classes()
-    assert cs.symmetric_on is not None and cs._walk is None
+    assert isinstance(cs.construction, permcore._Symmetric) and cs._walk is None
     # the reference: the classes of the same group from the class walk
     W = Group(G.degree, G.generators)
     W._classes = ref = permcore._Walk().classes(W, W.order())
@@ -835,7 +837,7 @@ def _check_symmetric_against_walk(G):
         assert rational_classes(G, d) == rational_classes(W, d)
     for x in W.elements():
         assert cs.position_of(x) == ref.position_of(x)
-    outside = [p + 1 for p in range(G.degree) if p not in cs.symmetric_on]
+    outside = [p + 1 for p in range(G.degree) if p not in cs.construction.points]
     if outside and G.degree > 1:
         with pytest.raises(NotInGroupError):
             cs.position_of(Permutation.from_cycles(G.degree, [(outside[0], 2 if outside[0] == 1 else 1)]))
@@ -876,10 +878,40 @@ def test_symmetric_groups_never_walk_themselves(monkeypatch):
     assert S10._classes._walk is None
 
 
+TABLE_ROUTES = ("_symmetric_rows", "_product_rows", "_cyclic_rows", "_dixon_schneider_rows")
+
+
+def _route_log(monkeypatch):
+    """Route name -> the groups whose rows chartab's route built, in order,
+    and the (construction, class set) of each ``rows`` call."""
+    import fszd.chartab as chartab
+
+    routes = {route: [] for route in TABLE_ROUTES}
+    for route in TABLE_ROUTES:
+        real = getattr(chartab, route)
+
+        def logged(*args, log=routes[route], real=real):
+            log.append(next(a for a in args if isinstance(a, permcore.ConjugacyClassSet)).group)
+            return real(*args)
+
+        monkeypatch.setattr(chartab, route, logged)
+    calls = []
+    for kind in (permcore._Walk, permcore._Symmetric):
+
+        def rows(self, cs, real=kind.rows):
+            calls.append((self, cs))
+            return real(self, cs)
+
+        monkeypatch.setattr(kind, "rows", rows)
+    return routes, calls
+
+
 def test_construction_is_picked_once_per_group(monkeypatch):
     # S8's report needs a construction for 52 groups (S8, its centralizers and
     # the groups chartab builds from them), for classes and centralizers alike;
-    # each group's is picked once, on first use, and kept on the group
+    # each group's is picked once, on first use, and kept on the group.  Every
+    # table built takes its rows from its own group's construction, once, by
+    # the route that construction names
     picked = []
     real = permcore._pick_construction
 
@@ -888,12 +920,62 @@ def test_construction_is_picked_once_per_group(monkeypatch):
         return real(G)
 
     monkeypatch.setattr(permcore, "_pick_construction", counted)
-    S8 = construct_group("S8")
-    all_indicators(Session(S8))
-    assert len(picked) == len({id(G) for G in picked}) == 52
-    assert isinstance(S8._construction, permcore._Symmetric)
-    assert all(G.conjugacy_classes().construction is G._construction for G in picked)
-    assert {type(G._construction) for G in picked} == {permcore._Symmetric, permcore._Walk}
+    routes, calls = _route_log(monkeypatch)
+    # tables by route: symmetric, product, cyclic, Dixon-Schneider
+    for spec, n_picked, n_routes in (("S8", 52, (15, 15, 15, 7)), ("C2xS5", 20, (10, 6, 3, 1))):
+        for log in (picked, calls, *routes.values()):
+            log.clear()
+        G = construct_group(spec)
+        all_indicators(Session(G))
+        assert len(picked) == len({id(H) for H in picked}) == n_picked, spec
+        assert all(H.conjugacy_classes().construction is H._construction for H in picked)
+        assert {type(H._construction) for H in picked} == {permcore._Symmetric, permcore._Walk}
+        tabled = {id(H) for H in picked if H._chartab is not None}
+        assert len(calls) == len(tabled) == len({id(cs.group) for _, cs in calls})
+        assert {id(cs.group) for _, cs in calls} == tabled
+        assert all(c is cs.group._construction and cs is cs.group._classes for c, cs in calls)
+        assert tuple(map(len, routes.values())) == n_routes, spec
+        for route, groups in routes.items():
+            kind = permcore._Symmetric if route == "_symmetric_rows" else permcore._Walk
+            assert all(type(H._construction) is kind for H in groups), route
+        assert type(G._construction) is (permcore._Symmetric if spec == "S8" else permcore._Walk)
+
+
+def test_product_detection_runs_only_for_tables_built(monkeypatch):
+    # the orbit-product test builds a group per orbit; it runs in the walk's
+    # rows, so a gamma query that reduces to delta or zero, and fsz_test on
+    # S8 at d = 1, which builds no table, never run it
+    from fszd import gamma, reduce_gamma_params
+
+    real = permcore._orbit_factors
+    tested = []
+    monkeypatch.setattr(permcore, "_orbit_factors", lambda G: tested.append(G) or real(G))
+    _, calls = _route_log(monkeypatch)
+    for spec in ("S8", "C2xS5"):
+        S = Session(construct_group(spec))
+        queries = {}
+        for z in range(len(S.classes)):
+            if real(S.centralizer_group(z)):  # a product, which an eager test would decompose
+                for m in S.divisors:
+                    queries.setdefault(reduce_gamma_params(S, z, m).kind, (z, m))
+        assert {"delta", "zero"} <= set(queries), spec
+        for kind in ("delta", "zero"):
+            z, m = queries[kind]
+            tested.clear()
+            cold = Session(construct_group(spec))
+            assert gamma(cold, z, m).values[0] == (1 if kind == "delta" else 0)
+            assert cold.centralizer_group(z)._chartab is None
+            assert tested == [], (spec, kind)
+    tested.clear()
+    calls.clear()
+    assert fsz_test(construct_group("S8"), 1).verdict
+    walked = [cs.group for c, cs in calls if isinstance(c, permcore._Walk)]
+    assert [id(H) for H in tested] == [id(H) for H in walked]
+    assert all(H._chartab is not None for H in tested)
+    # where a table is built, the test runs once for its group
+    tested.clear()
+    character_table(construct_group("S4xS3"))
+    assert [H.name for H in tested] == ["S4xS3"]
 
 
 def test_symmetric_checks_raise_invariant_errors(monkeypatch):
